@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,6 +39,12 @@ def _parse_params(m: int, s: int, l: int, u: int) -> GameParams:
         return GameParams(m, s, l, u)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
+
+
+def _positive_finite(ctx: click.Context, param: click.Parameter, value: float) -> float:
+    if not math.isfinite(value) or value <= 0:
+        raise click.BadParameter(f"must be a finite number > 0, got {value}")
+    return value
 
 
 def game_options(fn):
@@ -186,7 +193,9 @@ def cmd_dist(m: int, s: int, l: int, u: int, digits: int, fmt: str) -> None:
 
 @main.command("verify")
 @game_options
-@click.option("--mc-trials", type=int, default=None, help="Monte Carlo deal count.")
+@click.option(
+    "--mc-trials", type=click.IntRange(min=1), default=None, help="Monte Carlo deal count."
+)
 @click.option("--seed", type=int, default=0, show_default=True, help="Simulation seed.")
 @click.option(
     "--oracle-cap",
@@ -200,6 +209,7 @@ def cmd_dist(m: int, s: int, l: int, u: int, digits: int, fmt: str) -> None:
     type=float,
     default=4.0,
     show_default=True,
+    callback=_positive_finite,
     help="Per-cell |z| limit for the Monte Carlo check.",
 )
 def cmd_verify(
@@ -274,6 +284,11 @@ def cmd_scan(kind: str, m_max: int, s_max: int, out: str | None) -> None:
         report = nonvacuity_scan(m_range, s_range)
     else:
         report = bump_logconcavity_scan(m_range, s_range)
+    if report.cells == 0:
+        raise click.UsageError(
+            f"the grid m <= {m_max}, s <= {s_max} has no cell with 0 < l < u < s; "
+            "it needs --m-max >= 2 and --s-max >= 3"
+        )
     noun = "counterexamples" if kind == "nonvacuity" else "findings"
     click.echo(
         f"{kind}: {report.cells} parameter cells, {report.checks} checks, "

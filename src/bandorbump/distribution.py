@@ -8,24 +8,46 @@ either
 * some rank's tally reaches u + 1                   -- a *bump*.
 
 ``joint_distribution`` returns the exact probability of each (stopping draw,
-outcome) pair as rationals.  The general case 0 < l < u < s conditions on the
-identity of the final card dealt: the band mass at draw n factors into the
-chance the completing rank sits one short of quota after n - 1 cards times a
-rectangle probability for the other m - 1 tallies, and the bump mass at draw
-n sums over the configuration of the other ranks (k at the cap u, k' still
-below l, k'' strictly inside the window) with a rectangle count for each
-configuration.  Degenerate parameter corners (l = 0, l = u, u = s) stop the
-deal by different mechanics and are dispatched to dedicated routines.
+outcome) pair as rationals, from products of counting generating functions.
+One rank holding x of the cards dealt so far is counted by C(s, x) z**x, so
+with
 
-Every bump summand is computed in two algebraically equal arrangements and
-the results are compared exactly; a disagreement raises ConsistencyError, as
-does any internal range or mass check that fails.  Such an error means the
-engine itself is wrong and must never be swallowed.
+    A = sum_{x < l} C(s, x) z**x        (below the quota)
+    B = sum_{l <= x < u} C(s, x) z**x   (inside the window, below the cap)
+    C = sum_{l <= x <= u} C(s, x) z**x  (inside the window)
 
-Architecture note: closed forms here are validated elsewhere against
-independent recomputation (exhaustive dynamic programming and Monte Carlo in
-``oracle``), which share none of this module's algebra beyond the rectangle
-primitive.
+the number of deals of j cards whose tallies satisfy a per-rank condition is
+the coefficient [z**j] of the product of the ranks' polynomials.  Conditioning
+on the rank of the last card dealt gives, for every l >= 1,
+
+    band(n) = C(s-1, l-1) * [z**(n-l)] C**(m-1) / C(t-1, n-1)
+
+(the last card lifts one rank from l - 1 to l while the other m - 1 already
+sit inside the window) and
+
+    bump(n) = (s-u) / ((t-n+1) * C(t, n-1))
+              * sum_k C(m, k) * k * C(s, u)**k
+                      * [z**(n-1-k*u)] ((A + B)**(m-k) - B**(m-k))
+
+(k ranks sit at the cap u and the last card pushes one of them over; the
+other m - k ranks are all below the cap and at least one is below the quota,
+which is the difference of the two powers).  Every power is a truncated
+polynomial product, so one parameter set costs O(m) products.  The u = s
+corner has no bump (s - u = 0) and the l = u corner has B = 0; both run
+through the same routine.  Only l = 0, where the deal stops at the first
+card, is special.
+
+Each (n, k) term's weight is evaluated in two algebraically equal
+arrangements and compared exactly; a disagreement raises ConsistencyError,
+as does a failed mass check.  Such an error means the engine itself is wrong
+and must never be swallowed.
+
+``bump_summand``, ``coupon_band`` and ``equal_quota`` are the earlier
+per-configuration and boundary-case forms built on hypergeometric rectangle
+counts.  They are kept as reference routines that tests compare the
+generating-function rows against, and the non-vacuity scan inspects each
+bump summand.  Closed forms here are also validated against independent
+recomputation (exhaustive dynamic programming and Monte Carlo in ``oracle``).
 """
 
 from __future__ import annotations
@@ -36,7 +58,14 @@ from fractions import Fraction
 from functools import cache
 
 from .exactnum import binomial, multinomial
-from .hypergeom import HypergeomSpec, Rectangle, point_prob, rect_count, rect_prob
+from .hypergeom import (
+    HypergeomSpec,
+    Rectangle,
+    rect_count,
+    rect_prob,
+    truncated_product,
+    window_poly,
+)
 
 
 class ConsistencyError(RuntimeError):
@@ -58,6 +87,10 @@ class GameParams:
     u: int
 
     def __post_init__(self) -> None:
+        for name in ("m", "s", "l", "u"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an int, got {value!r}")
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if self.s < 1:
@@ -79,7 +112,7 @@ class GameParams:
 
     @property
     def is_general(self) -> bool:
-        """True when 0 < l < u < s, the configuration the closed forms cover."""
+        """True when 0 < l < u < s: no window edge sits at 0 or s and l != u."""
         return 0 < self.l < self.u < self.s
 
 
@@ -87,7 +120,7 @@ def _require_general(params: GameParams) -> None:
     if not params.is_general:
         raise ValueError(
             f"parameters l={params.l}, u={params.u}, s={params.s} are a boundary "
-            "configuration; use joint_distribution, which dispatches it"
+            "configuration; use joint_distribution, which covers it"
         )
 
 
@@ -160,32 +193,16 @@ class JointDistribution:
 # ==================== general case: band ====================
 
 
-@cache
 def band_joint(params: GameParams, n: int) -> Fraction:
-    """P[stop at draw n with a band], general case 0 < l < u < s.
-
-    The last card dealt completes some rank's lower quota: that rank holds
-    l - 1 of the first n - 1 cards, and the remaining m - 1 tallies must
-    already sit inside [l, u] after n - l of their cards appeared.
-    """
+    """P[stop at draw n with a band], general case 0 < l < u < s."""
     _require_general(params)
-    if n < params.m * params.l or n > params.n_max:
-        return Fraction(0)
-    lead = point_prob(n, params.s, params.t, params.l)
-    others = rect_prob(
-        HypergeomSpec(params.m - 1, n - params.l, params.s),
-        Rectangle.cube(params.m - 1, params.l, params.u),
-    )
-    return lead * others
+    return joint_distribution(params).band_mass(n)
 
 
 def band_marginal(params: GameParams) -> Fraction:
     """P[the deal ends in a band], general case."""
     _require_general(params)
-    return sum(
-        (band_joint(params, n) for n in range(params.m * params.l, params.n_max + 1)),
-        Fraction(0),
-    )
+    return joint_distribution(params).band_marginal
 
 
 # ==================== general case: bump ====================
@@ -302,28 +319,16 @@ def bump_summand(params: GameParams, n: int, k: int, kpp: int) -> Fraction:
     return weight * binomial(s, u) ** k * count
 
 
-@cache
 def bump_joint(params: GameParams, n: int) -> Fraction:
     """P[stop at draw n with a bump], general case 0 < l < u < s."""
     _require_general(params)
-    if n < params.u + 1 or n > params.n_max:
-        return Fraction(0)
-    total = Fraction(0)
-    k_lo, k_hi = bump_k_range(params, n)
-    for k in range(k_lo, k_hi + 1):
-        kpp_lo, kpp_hi = bump_kpp_range(params, n, k)
-        for kpp in range(kpp_lo, kpp_hi + 1):
-            total += bump_summand(params, n, k, kpp)
-    return total
+    return joint_distribution(params).bump_mass(n)
 
 
 def bump_marginal(params: GameParams) -> Fraction:
     """P[the deal ends in a bump], general case."""
     _require_general(params)
-    return sum(
-        (bump_joint(params, n) for n in range(params.u + 1, params.n_max + 1)),
-        Fraction(0),
-    )
+    return joint_distribution(params).bump_marginal
 
 
 # ==================== boundary cases ====================
@@ -371,35 +376,69 @@ def equal_quota(params: GameParams, n: int) -> tuple[Fraction, Fraction]:
 # ==================== assembly ====================
 
 
+def _powers(poly: list[int], top: int, degree: int) -> list[list[int]]:
+    """poly**0 .. poly**top, each truncated at degree."""
+    out = [[1]]
+    for _ in range(top):
+        out.append(truncated_product(out[-1], poly, degree))
+    return out
+
+
+def _gf_rows(params: GameParams) -> list[tuple[int, Fraction, Fraction]]:
+    """Band and bump rows for l >= 1 from truncated generating-function powers.
+
+    Row span: n from min(m*l, u+1) through n_max with explicit zeros, so both
+    outcome columns are visible from their earliest possible draw; when
+    u = s no bump exists and the span starts at the first possible band,
+    m*l.
+    """
+    m, s, l, u, t = params.m, params.s, params.l, params.u, params.t
+    top = params.n_max
+    inside = _powers(window_poly(s, l, u), m - 1, top)[m - 1]
+    below_cap = _powers(window_poly(s, 0, u - 1), m - 1, top)
+    interior = _powers(window_poly(s, l, u - 1), m - 1, top)
+
+    def coef(poly: list[int], j: int) -> int:
+        return poly[j] if 0 <= j < len(poly) else 0
+
+    band_lead = binomial(s - 1, l - 1)
+    cap_ways = binomial(s, u)
+    start = m * l if u == s else min(m * l, u + 1)
+    rows = []
+    for n in range(start, top + 1):
+        band = Fraction(band_lead * coef(inside, n - l), binomial(t - 1, n - 1))
+        t_prev, t_here = binomial(t, n - 1), binomial(t, n)
+        total = 0
+        for k in range(1, min(m - 1, (n - 1) // u) + 1):
+            ways = binomial(m, k)
+            # The (n, k) weight in its two arrangements, with the common
+            # factor k * (s - u) cancelled: multinomial(m, (k, m - k)) /
+            # ((t - n + 1) * C(t, n - 1)) must equal C(m, k) / (n * C(t, n)).
+            if multinomial(m, (k, m - k)) * n * t_here != ways * (t - n + 1) * t_prev:
+                raise ConsistencyError(
+                    f"combinatorial weight disagreement at {params}, n={n}, k={k}"
+                )
+            j = n - 1 - k * u
+            free = coef(below_cap[m - k], j) - coef(interior[m - k], j)
+            total += ways * k * cap_ways**k * free
+        bump = Fraction((s - u) * total, (t - n + 1) * t_prev)
+        rows.append((n, band, bump))
+    return rows
+
+
 @cache
 def joint_distribution(params: GameParams) -> JointDistribution:
-    """The full joint law, dispatching boundary parameter configurations.
+    """The full joint law over (stopping draw, outcome).
 
-    Row span: the general case stores n from min(m*l, u+1) through n_max with
-    explicit zeros, so both outcome columns are visible from their earliest
-    possible draw.  Degenerate corners store their actual support.
+    l = 0 stops at the first card: a bump when u = 0 (any card overshoots a
+    zero cap), a band otherwise (quotas are met before any draw and one card
+    cannot leave [0, u]).  Every l >= 1 runs through the generating-function
+    rows; see ``_gf_rows`` for the row span.
     """
-    m, s, l, u = params.m, params.s, params.l, params.u
     one = Fraction(1)
     zero = Fraction(0)
-    if l == 0 and u == 0:
-        # Any first card overshoots a zero cap immediately.
-        rows = [(1, zero, one)]
-    elif l == 0:
-        # Quotas are met before the first draw; the first card cannot leave
-        # [0, u], so the deal stops at once with a band.
-        rows = [(1, one, zero)]
-    elif u == s:
-        rows = [
-            (n, coupon_band(params, n), zero) for n in range(m * l, params.n_max + 1)
-        ]
-    elif l == u:
-        start = min(u + 1, params.n_max)
-        rows = [(n, *equal_quota(params, n)) for n in range(start, params.n_max + 1)]
+    if params.l == 0:
+        rows = [(1, zero, one) if params.u == 0 else (1, one, zero)]
     else:
-        start = min(m * l, u + 1)
-        rows = [
-            (n, band_joint(params, n), bump_joint(params, n))
-            for n in range(start, params.n_max + 1)
-        ]
+        rows = _gf_rows(params)
     return JointDistribution(params, tuple(rows))

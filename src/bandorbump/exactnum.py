@@ -12,55 +12,13 @@ import math
 from fractions import Fraction
 
 
-class BinomialTable:
-    """Pascal-triangle rows 0..max_n, built once and then read-only."""
-
-    __slots__ = ("max_n", "_rows")
-
-    def __init__(self, max_n: int) -> None:
-        if max_n < 0:
-            raise ValueError(f"max_n must be >= 0, got {max_n}")
-        rows: list[tuple[int, ...]] = [(1,)]
-        for a in range(1, max_n + 1):
-            prev = rows[a - 1]
-            row = [1] * (a + 1)
-            for b in range(1, a):
-                row[b] = prev[b - 1] + prev[b]
-            rows.append(tuple(row))
-        self.max_n = max_n
-        self._rows = tuple(rows)
-
-    def binom(self, a: int, b: int) -> int:
-        """C(a, b) with the convention C(a, b) = 0 for b < 0 or b > a."""
-        if a < 0:
-            raise ValueError(f"binomial requires a >= 0, got a={a}")
-        if a > self.max_n:
-            raise ValueError(f"a={a} exceeds table max_n={self.max_n}")
-        if b < 0 or b > a:
-            return 0
-        return self._rows[a][b]
-
-    def row(self, a: int) -> tuple[int, ...]:
-        return self._rows[a]
-
-
-# Shared table, grown by replacement (never mutated) so readers always see
-# a consistent snapshot.  Sized generously up front; doubles on demand.
-_TABLE = BinomialTable(64)
-
-
 def binomial(a: int, b: int) -> int:
     """C(a, b) as an exact integer; 0 when b < 0 or b > a; a < 0 is an error."""
-    global _TABLE
     if a < 0:
         raise ValueError(f"binomial requires a >= 0, got a={a}")
     if b < 0 or b > a:
         return 0
-    table = _TABLE
-    if a > table.max_n:
-        table = BinomialTable(max(a, 2 * table.max_n))
-        _TABLE = table
-    return table.binom(a, b)
+    return math.comb(a, b)
 
 
 def multinomial(n: int, parts: list[int] | tuple[int, ...]) -> int:

@@ -8,7 +8,9 @@ rectangles: every coordinate j lands inside [lo_j, hi_j].
 The number of deals landing in a rectangle is the coefficient of z**draws in
 the product over coordinates of sum_{x=lo_j}^{hi_j} C(rank_size, x) * z**x.
 That product is expanded with exact integer convolution, truncated at degree
-``draws``, so no probability below ever touches floating point.
+``draws``, so no probability below ever touches floating point.  The same
+two polynomial helpers, ``window_poly`` and ``truncated_product``, build the
+generating-function powers of the stopping-law engine.
 """
 
 from __future__ import annotations
@@ -69,6 +71,30 @@ class Rectangle:
         return Rectangle(self.lo + other.lo, self.hi + other.hi)
 
 
+def window_poly(rank_size: int, lo: int, hi: int) -> list[int]:
+    """Counting polynomial of one rank's tally in [lo, hi]: sum C(rank_size, x) z**x.
+
+    Coefficient lists are indexed by degree; the empty list is the zero
+    polynomial, which is what a window emptied by the rank size becomes.
+    """
+    hi = min(hi, rank_size)
+    if lo > hi:
+        return []
+    return [0] * lo + [binomial(rank_size, x) for x in range(lo, hi + 1)]
+
+
+def truncated_product(p: list[int], q: list[int], degree: int) -> list[int]:
+    """Coefficients of p * q up to and including z**degree."""
+    if len(p) < len(q):
+        p, q = q, p
+    out = [0] * min(len(p) + len(q) - 1, degree + 1)
+    for x, w in enumerate(q):
+        if w:
+            for d in range(min(len(p), len(out) - x)):
+                out[x + d] += w * p[d]
+    return out
+
+
 @lru_cache(maxsize=None)
 def _rect_count(draws: int, rank_size: int, lo: tuple[int, ...], hi: tuple[int, ...]) -> int:
     if not lo:
@@ -78,16 +104,7 @@ def _rect_count(draws: int, rank_size: int, lo: tuple[int, ...], hi: tuple[int, 
         return 0
     poly = [1]
     for lo_j, hi_j in zip(lo, caps):
-        if lo_j > hi_j:
-            return 0
-        new = [0] * (min(len(poly) - 1 + hi_j, draws) + 1)
-        for x in range(lo_j, hi_j + 1):
-            w = binomial(rank_size, x)
-            for d in range(min(len(poly), len(new) - x)):
-                c = poly[d]
-                if c:
-                    new[x + d] += w * c
-        poly = new
+        poly = truncated_product(poly, window_poly(rank_size, lo_j, hi_j), draws)
     return poly[draws] if draws < len(poly) else 0
 
 

@@ -143,6 +143,23 @@ class TestVerify:
         )
         assert proc.returncode == 1
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_non_positive_trials_is_usage_error(self, trials):
+        proc = run_cli("verify", "-m", "2", "-s", "3", "-l", "1", "-u", "2", "--mc-trials", trials)
+        assert proc.returncode == 2
+        assert "--mc-trials" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "0", "-1"])
+    def test_bad_z_threshold_is_usage_error(self, threshold):
+        proc = run_cli(
+            "verify", "-m", "2", "-s", "3", "-l", "1", "-u", "2",
+            "--mc-trials", "100", "--z-threshold", threshold,
+        )
+        assert proc.returncode == 2
+        assert "--z-threshold" in proc.stderr
+        assert "finite number > 0" in proc.stderr
+
     def test_large_deck_without_trials_is_usage_error(self):
         proc = run_cli("verify", "-m", "4", "-s", "13", "-l", "5", "-u", "8")
         assert proc.returncode == 2
@@ -177,11 +194,13 @@ class TestScan:
         assert doc["kind"] == "bump-logconcavity"
         assert doc["ok"] is True
 
-    def test_empty_grid_exits_zero(self):
-        proc = run_cli("scan", "nonvacuity", "--m-max", "1", "--s-max", "4")
-        assert proc.returncode == 0
-        doc = json.loads(proc.stdout.partition("\n")[2])
-        assert doc["cells"] == 0
+    def test_empty_grid_is_usage_error(self):
+        # a grid without a cell 0 < l < u < s would report a vacuous "ok"
+        for kind, bound in [("nonvacuity", "--m-max=1"), ("bump-logconcavity", "--s-max=2")]:
+            proc = run_cli("scan", kind, bound)
+            assert proc.returncode == 2, (kind, bound)
+            assert "no cell with 0 < l < u < s" in proc.stderr
+            assert proc.stdout == ""
 
     def test_unknown_kind_is_usage_error(self):
         proc = run_cli("scan", "bogus")

@@ -47,6 +47,14 @@ class TestGameParams:
             GameParams(m, s, l, u)
 
     @pytest.mark.parametrize(
+        "fields",
+        [(True, 3, 1, 2), (2, 3.0, 1, 2), (2, 3, "1", 2), (2, 3, 1, False), (2, 3, 1, None)],
+    )
+    def test_rejects_non_int_fields(self, fields):
+        with pytest.raises(TypeError):
+            GameParams(*fields)
+
+    @pytest.mark.parametrize(
         "params, general",
         [
             (GameParams(2, 3, 1, 2), True),
@@ -377,6 +385,83 @@ class TestJointDispatch:
 
     def test_caching_returns_identical_object(self):
         assert joint_distribution(TINY) is joint_distribution(GameParams(2, 3, 1, 2))
+
+
+def _general_cells(m_max: int, s_max: int):
+    for m in range(1, m_max + 1):
+        for s in range(3, s_max + 1):
+            for l in range(1, s):
+                for u in range(l + 1, s):
+                    yield GameParams(m, s, l, u)
+
+
+def _band_by_rectangle(p: GameParams, n: int) -> Fraction:
+    """Band mass as the pinned-last-card chance times a rectangle probability."""
+    if n < p.m * p.l:
+        return Fraction(0)
+    others = rect_prob(
+        HypergeomSpec(p.m - 1, n - p.l, p.s), Rectangle.cube(p.m - 1, p.l, p.u)
+    )
+    return point_prob(n, p.s, p.t, p.l) * others
+
+
+def _bump_by_summands(p: GameParams, n: int) -> Fraction:
+    """Bump mass as the sum of every admissible (k, k'') rectangle summand."""
+    total = Fraction(0)
+    if n < p.u + 1:
+        return total
+    k_lo, k_hi = bump_k_range(p, n)
+    for k in range(k_lo, k_hi + 1):
+        kpp_lo, kpp_hi = bump_kpp_range(p, n, k)
+        for kpp in range(kpp_lo, kpp_hi + 1):
+            total += bump_summand(p, n, k, kpp)
+    return total
+
+
+class TestGeneratingFunctionRows:
+    """The polynomial-power rows against the per-configuration reference forms."""
+
+    def test_general_cells_match_rectangle_forms(self):
+        cells = 0
+        for p in _general_cells(8, 8):
+            dist = joint_distribution(p)
+            assert (dist.first_n, dist.last_n) == (min(p.m * p.l, p.u + 1), p.n_max)
+            for n, band, bump in dist.rows:
+                assert band == _band_by_rectangle(p, n), (p, n)
+                assert bump == _bump_by_summands(p, n), (p, n)
+            cells += 1
+        assert cells == 448
+
+    def test_boundary_cells_match_reference_routines(self):
+        for m in range(1, 9):
+            for s in range(1, 9):
+                for l in range(1, s + 1):
+                    p = GameParams(m, s, l, s)
+                    dist = joint_distribution(p)
+                    assert (dist.first_n, dist.last_n) == (m * l, p.n_max)
+                    for n, band, bump in dist.rows:
+                        assert (band, bump) == (coupon_band(p, n), 0), (p, n)
+                for u in range(1, s):
+                    p = GameParams(m, s, u, u)
+                    dist = joint_distribution(p)
+                    assert (dist.first_n, dist.last_n) == (min(u + 1, p.n_max), p.n_max)
+                    for n, band, bump in dist.rows:
+                        assert (band, bump) == equal_quota(p, n), (p, n)
+
+    @pytest.mark.parametrize("params", [RANK_GAME, SUIT_GAME])
+    def test_published_decks_match_dynamic_programming(self, params):
+        reference = exhaustive_distribution(params, cap=52)
+        assert joint_distribution(params).matches(reference)
+
+    def test_fifty_two_rank_deck_solves_cold(self):
+        joint_distribution.cache_clear()
+        p = GameParams(52, 4, 1, 3)
+        dist = joint_distribution(p)
+        assert (dist.first_n, dist.last_n) == (4, p.n_max)
+        for n in (4, 10, 40, 80, p.n_max):
+            assert dist.band_mass(n) == _band_by_rectangle(p, n), n
+        for n in range(4, 9):
+            assert dist.bump_mass(n) == _bump_by_summands(p, n), n
 
 
 @st.composite

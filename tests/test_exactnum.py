@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bandorbump.exactnum import (
-    BinomialTable,
     binomial,
     multinomial,
     sqrt_decimal,
@@ -37,29 +36,14 @@ class TestBinomial:
     def test_table_growth_beyond_initial_size(self):
         assert binomial(200, 100) == math.comb(200, 100)
 
-
-class TestBinomialTable:
     def test_pascal_recurrence(self):
-        table = BinomialTable(30)
         for a in range(2, 31):
             for b in range(1, a):
-                assert table.binom(a, b) == table.binom(a - 1, b - 1) + table.binom(a - 1, b)
+                assert binomial(a, b) == binomial(a - 1, b - 1) + binomial(a - 1, b)
 
     def test_row_sums_are_powers_of_two(self):
-        table = BinomialTable(25)
         for a in range(0, 26):
-            assert sum(table.row(a)) == 2**a
-
-    def test_bounds(self):
-        table = BinomialTable(5)
-        assert table.binom(5, 6) == 0
-        assert table.binom(5, -1) == 0
-        with pytest.raises(ValueError):
-            table.binom(6, 0)
-        with pytest.raises(ValueError):
-            table.binom(-1, 0)
-        with pytest.raises(ValueError):
-            BinomialTable(-1)
+            assert sum(binomial(a, b) for b in range(a + 1)) == 2**a
 
 
 class TestMultinomial:
