@@ -15,26 +15,13 @@ from .analysis import (
     payoff_ev,
 )
 from .distribution import (
-    BumpIndexRange,
     ConsistencyError,
     GameParams,
     JointDistribution,
-    KppBounds,
     Outcome,
-    band_joint,
-    band_marginal,
-    bump_index_range,
-    bump_joint,
-    bump_k_range,
-    bump_kpp_range,
-    bump_marginal,
-    bump_summand,
-    coupon_band,
-    equal_quota,
     joint_distribution,
 )
-from .exactnum import binomial, multinomial, sqrt_decimal, to_decimal
-from .hypergeom import HypergeomSpec, Rectangle, point_prob, rect_count, rect_prob
+from .exactnum import sqrt_decimal, to_decimal
 from .oracle import (
     CellCheck,
     ComparisonReport,
@@ -47,47 +34,28 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BumpIndexRange",
     "CellCheck",
     "ComparisonReport",
     "ConsistencyError",
     "EmpiricalDistribution",
     "Finding",
     "GameParams",
-    "HypergeomSpec",
     "JointDistribution",
-    "KppBounds",
     "LogConcavityResult",
     "MomentsReport",
     "Outcome",
     "OutcomeMoments",
     "PayoffSpec",
-    "Rectangle",
     "ScanReport",
-    "band_joint",
     "band_logconcavity_scan",
-    "band_marginal",
-    "binomial",
-    "bump_index_range",
-    "bump_joint",
-    "bump_k_range",
-    "bump_kpp_range",
     "bump_logconcavity_scan",
-    "bump_marginal",
-    "bump_summand",
     "compare",
-    "coupon_band",
-    "equal_quota",
     "exhaustive_distribution",
     "joint_distribution",
     "log_concavity",
     "moments",
-    "multinomial",
     "nonvacuity_scan",
     "payoff_ev",
-    "point_prob",
-    "rect_count",
-    "rect_prob",
     "simulate",
     "sqrt_decimal",
     "to_decimal",

@@ -24,11 +24,10 @@ from .distribution import (
     GameParams,
     JointDistribution,
     Outcome,
-    band_joint,
-    bump_joint,
     bump_k_range,
     bump_kpp_range,
     bump_summand,
+    joint_distribution,
 )
 from .exactnum import sqrt_decimal
 
@@ -61,11 +60,12 @@ class MomentsReport:
 
 
 def _conditional(dist: JointDistribution, outcome: Outcome, sig_figs: int) -> OutcomeMoments:
-    marginal = sum((dist.mass(n, outcome) for n, _, _ in dist.rows), Fraction(0))
+    col = 1 if outcome is Outcome.BAND else 2
+    marginal = sum((r[col] for r in dist.rows), Fraction(0))
     if marginal == 0:
         return OutcomeMoments(marginal, None, None, None)
-    mean = sum((n * dist.mass(n, outcome) for n, _, _ in dist.rows), Fraction(0)) / marginal
-    second = sum((n * n * dist.mass(n, outcome) for n, _, _ in dist.rows), Fraction(0)) / marginal
+    mean = sum((r[0] * r[col] for r in dist.rows), Fraction(0)) / marginal
+    second = sum((r[0] * r[0] * r[col] for r in dist.rows), Fraction(0)) / marginal
     variance = second - mean * mean
     return OutcomeMoments(marginal, mean, variance, sqrt_decimal(variance, sig_figs))
 
@@ -254,12 +254,9 @@ def _logconcavity_scan(
     findings: list[Finding] = []
     for p in _general_grid(m_range, s_range):
         cells += 1
-        if outcome is Outcome.BAND:
-            first = p.m * p.l
-            seq = [band_joint(p, n) for n in range(first, p.n_max + 1)]
-        else:
-            first = p.u + 1
-            seq = [bump_joint(p, n) for n in range(first, p.n_max + 1)]
+        dist = joint_distribution(p)
+        first = p.m * p.l if outcome is Outcome.BAND else p.u + 1
+        seq = [dist.mass(n, outcome) for n in range(first, p.n_max + 1)]
         checks += max(len(seq) - 2, 0)
         result = log_concavity(seq)
         for i in result.violations:

@@ -190,22 +190,7 @@ class JointDistribution:
         )
 
 
-# ==================== general case: band ====================
-
-
-def band_joint(params: GameParams, n: int) -> Fraction:
-    """P[stop at draw n with a band], general case 0 < l < u < s."""
-    _require_general(params)
-    return joint_distribution(params).band_mass(n)
-
-
-def band_marginal(params: GameParams) -> Fraction:
-    """P[the deal ends in a band], general case."""
-    _require_general(params)
-    return joint_distribution(params).band_marginal
-
-
-# ==================== general case: bump ====================
+# ==================== reference forms ====================
 
 
 def bump_k_range(params: GameParams, n: int) -> tuple[int, int]:
@@ -246,55 +231,6 @@ def bump_kpp_range(params: GameParams, n: int, k: int) -> tuple[int, int]:
     return kpp_lo, kpp_hi
 
 
-@dataclass(frozen=True)
-class KppBounds:
-    """Interior-rank window for one capped-rank count k at a fixed draw n."""
-
-    k: int
-    n_k: int  # cards among non-capped ranks after the first n - 1 deals
-    kpp_lo: int
-    kpp_hi: int
-    kpp_lo_raw: Fraction  # lower cutoff before the ceiling and the clamp at 0
-
-
-@dataclass(frozen=True)
-class BumpIndexRange:
-    """Full index bookkeeping for the bump sum at draw n.
-
-    k_lo_raw is the k lower cutoff before clamping at 1; n_hi is the draw
-    threshold (m - l) * u + l * (l - 1) beyond which that raw cutoff binds.
-    Both exist so range edge cases can be inspected and scanned directly.
-    """
-
-    n: int
-    k_lo: int
-    k_hi: int
-    k_lo_raw: int
-    n_hi: int
-    per_k: tuple[KppBounds, ...]
-
-
-def bump_index_range(params: GameParams, n: int) -> BumpIndexRange:
-    """All admissible (k, k'') windows for a bump at draw n, with raw cutoffs."""
-    _require_general(params)
-    m, l, u = params.m, params.l, params.u
-    k_lo, k_hi = bump_k_range(params, n)
-    per_k = []
-    for k in range(k_lo, k_hi + 1):
-        n_k = n - 1 - k * u
-        kpp_lo, kpp_hi = bump_kpp_range(params, n, k)
-        raw = Fraction(n_k - (m - k) * (l - 1), u - l)
-        per_k.append(KppBounds(k, n_k, kpp_lo, kpp_hi, raw))
-    return BumpIndexRange(
-        n=n,
-        k_lo=k_lo,
-        k_hi=k_hi,
-        k_lo_raw=n - (l + (m - 1) * (u - 1)),
-        n_hi=(m - l) * u + l * (l - 1),
-        per_k=tuple(per_k),
-    )
-
-
 def bump_summand(params: GameParams, n: int, k: int, kpp: int) -> Fraction:
     """One (k, k'') term of the bump mass at draw n.
 
@@ -317,21 +253,6 @@ def bump_summand(params: GameParams, n: int, k: int, kpp: int) -> Fraction:
             f"{weight} vs {reduced}"
         )
     return weight * binomial(s, u) ** k * count
-
-
-def bump_joint(params: GameParams, n: int) -> Fraction:
-    """P[stop at draw n with a bump], general case 0 < l < u < s."""
-    _require_general(params)
-    return joint_distribution(params).bump_mass(n)
-
-
-def bump_marginal(params: GameParams) -> Fraction:
-    """P[the deal ends in a bump], general case."""
-    _require_general(params)
-    return joint_distribution(params).bump_marginal
-
-
-# ==================== boundary cases ====================
 
 
 def coupon_band(params: GameParams, n: int) -> Fraction:

@@ -66,10 +66,6 @@ class Rectangle:
         """The same [lo, hi] bound on every one of dim coordinates."""
         return cls((lo,) * dim, (hi,) * dim)
 
-    def concat(self, other: Rectangle) -> Rectangle:
-        """Cartesian product: this box on the first coordinates, other on the rest."""
-        return Rectangle(self.lo + other.lo, self.hi + other.hi)
-
 
 def window_poly(rank_size: int, lo: int, hi: int) -> list[int]:
     """Counting polynomial of one rank's tally in [lo, hi]: sum C(rank_size, x) z**x.
@@ -122,14 +118,11 @@ def rect_count(spec: HypergeomSpec, rect: Rectangle) -> int:
 
 def rect_prob(spec: HypergeomSpec, rect: Rectangle) -> Fraction:
     """Exact probability of the rectangle event under the spec's deal."""
-    if rect.dim != spec.dim:
-        raise ValueError(f"rectangle dim {rect.dim} != spec dim {spec.dim}")
-    if spec.dim == 0:
-        return Fraction(1) if spec.draws == 0 else Fraction(0)
+    count = rect_count(spec, rect)
     denom = binomial(spec.total, spec.draws)
     if denom == 0:
         return Fraction(0)
-    return Fraction(_rect_count(spec.draws, spec.rank_size, rect.lo, rect.hi), denom)
+    return Fraction(count, denom)
 
 
 def point_prob(n: int, s: int, t: int, l: int) -> Fraction:

@@ -23,11 +23,7 @@ from bandorbump.analysis import (
     nonvacuity_scan,
     payoff_ev,
 )
-from bandorbump.distribution import (
-    GameParams,
-    bump_joint,
-    joint_distribution,
-)
+from bandorbump.distribution import GameParams, joint_distribution
 from bandorbump.exactnum import binomial, multinomial, to_decimal
 from bandorbump.hypergeom import point_prob
 from bandorbump.oracle import compare, exhaustive_distribution, simulate
@@ -252,6 +248,7 @@ def test_criterion_09_internal_identities():
     special_ok = True
     p = RANK_GAME
     m, s, u, t = p.m, p.s, p.u, p.t
+    dist = joint_distribution(p)
     for n in range(p.u + 1, p.n_max + 1):
         total = Fraction(0)
         for k in range(max(1, n - 25), (n - 1) // u + 1):
@@ -265,7 +262,7 @@ def test_criterion_09_internal_identities():
                     binomial(m, k) * binomial(m - k, kpp) * k * (s - u), n
                 ) / binomial(t, n)
                 total += weight * count
-        if total != bump_joint(p, n):
+        if total != dist.bump_mass(n):
             special_ok = False
 
     ok = weight_ok and point_ok and special_ok

@@ -9,13 +9,8 @@ from bandorbump.distribution import (
     GameParams,
     JointDistribution,
     Outcome,
-    band_joint,
-    band_marginal,
-    bump_index_range,
-    bump_joint,
     bump_k_range,
     bump_kpp_range,
-    bump_marginal,
     bump_summand,
     coupon_band,
     equal_quota,
@@ -112,25 +107,27 @@ class TestJointDistributionContainer:
 
 class TestBandGeneral:
     def test_tiny_game_band_values(self):
-        assert band_joint(TINY, 2) == Fraction(3, 5)
-        assert band_joint(TINY, 3) == Fraction(3, 10)
-        assert band_joint(TINY, 1) == 0
-        assert band_joint(TINY, 4) == 0
+        dist = joint_distribution(TINY)
+        assert dist.band_mass(2) == Fraction(3, 5)
+        assert dist.band_mass(3) == Fraction(3, 10)
+        assert dist.band_mass(1) == 0
+        assert dist.band_mass(4) == 0
 
     def test_tiny_game_band_marginal(self):
-        assert band_marginal(TINY) == Fraction(9, 10)
+        assert joint_distribution(TINY).band_marginal == Fraction(9, 10)
 
     def test_band_factorization(self):
         # the closed form is the pinned-last-card chance times the rectangle
         # probability for the other tallies
         p = SUIT_GAME
+        dist = joint_distribution(p)
         for n in range(p.m * p.l, p.n_max + 1):
             lead = point_prob(n, p.s, p.t, p.l)
             others = rect_prob(
                 HypergeomSpec(p.m - 1, n - p.l, p.s),
                 Rectangle.cube(p.m - 1, p.l, p.u),
             )
-            assert band_joint(p, n) == lead * others
+            assert dist.band_mass(n) == lead * others
 
     def test_lead_factor_identity(self):
         # the pinned-last-card chance rearranges into the product of a
@@ -147,12 +144,6 @@ class TestBandGeneral:
                             (t + 1 - n),
                         ) / binomial(t, n - 1)
                         assert direct == rearranged, (m, s, l, n)
-
-    def test_boundary_params_rejected(self):
-        with pytest.raises(ValueError):
-            band_joint(GameParams(2, 3, 0, 2), 2)
-        with pytest.raises(ValueError):
-            band_marginal(GameParams(2, 3, 1, 3))
 
 
 class TestBumpIndexRanges:
@@ -185,42 +176,23 @@ class TestBumpIndexRanges:
         for p in (TINY, RANK_GAME, SUIT_GAME, GameParams(3, 7, 2, 5)):
             for n in range(p.u + 1, p.n_max + 1):
                 k_lo, k_hi = bump_k_range(p, n)
+                assert k_lo == max(1, n - (p.l + (p.m - 1) * (p.u - 1))), (p, n)
                 assert k_lo <= k_hi, (p, n)
                 for k in range(k_lo, k_hi + 1):
                     kpp_lo, kpp_hi = bump_kpp_range(p, n, k)
+                    n_k = n - 1 - k * p.u
+                    raw = Fraction(n_k - (p.m - k) * (p.l - 1), p.u - p.l)
+                    assert kpp_lo == max(0, math.ceil(raw)), (p, n, k)
                     assert 0 <= kpp_lo <= kpp_hi <= p.m - k - 1, (p, n, k)
-
-    def test_index_range_bookkeeping(self):
-        p = SUIT_GAME
-        n = 27
-        info = bump_index_range(p, n)
-        assert info.n == n
-        assert (info.k_lo, info.k_hi) == bump_k_range(p, n)
-        assert info.k_lo_raw == n - (p.l + (p.m - 1) * (p.u - 1))
-        assert info.k_lo == max(1, info.k_lo_raw)
-        assert info.n_hi == (p.m - p.l) * p.u + p.l * (p.l - 1)
-        assert len(info.per_k) == info.k_hi - info.k_lo + 1
-        for kb in info.per_k:
-            assert kb.n_k == n - 1 - kb.k * p.u
-            assert (kb.kpp_lo, kb.kpp_hi) == bump_kpp_range(p, n, kb.k)
-            raw = Fraction(kb.n_k - (p.m - kb.k) * (p.l - 1), p.u - p.l)
-            assert kb.kpp_lo_raw == raw
-            assert kb.kpp_lo == max(0, math.ceil(raw))
-
-    def test_n_hi_identity(self):
-        # two published arrangements of the draw threshold must coincide
-        for p in (SUIT_GAME, RANK_GAME, GameParams(3, 9, 2, 5), TINY):
-            info = bump_index_range(p, p.u + 1)
-            assert info.n_hi == (p.m - p.l) * p.u + p.l * (p.l - 1)
-            assert info.n_hi == p.n_max - (p.u - p.l) * (p.l - 1) - p.l
 
 
 class TestBumpGeneral:
     def test_tiny_game_bump_values(self):
-        assert bump_joint(TINY, 3) == Fraction(1, 10)
-        assert bump_joint(TINY, 2) == 0
-        assert bump_joint(TINY, 4) == 0
-        assert bump_marginal(TINY) == Fraction(1, 10)
+        dist = joint_distribution(TINY)
+        assert dist.bump_mass(3) == Fraction(1, 10)
+        assert dist.bump_mass(2) == 0
+        assert dist.bump_mass(4) == 0
+        assert dist.bump_marginal == Fraction(1, 10)
 
     def test_summand_weight_consistency_check_runs(self):
         # one concrete term, recomputed here from scratch
@@ -240,6 +212,7 @@ class TestBumpGeneral:
         # Recomputed here without touching the engine's summand code.
         p = RANK_GAME
         m, s, u, t = p.m, p.s, p.u, p.t
+        dist = joint_distribution(p)
         for n in range(p.u + 1, p.n_max + 1):
             total = Fraction(0)
             for k in range(max(1, n - 25), (n - 1) // u + 1):
@@ -253,13 +226,7 @@ class TestBumpGeneral:
                         binomial(m, k) * binomial(m - k, kpp) * k * (s - u), n
                     ) / binomial(t, n)
                     total += weight * count
-            assert total == bump_joint(p, n), n
-
-    def test_boundary_params_rejected(self):
-        with pytest.raises(ValueError):
-            bump_joint(GameParams(2, 3, 1, 3), 4)
-        with pytest.raises(ValueError):
-            bump_marginal(GameParams(2, 3, 0, 2))
+            assert total == dist.bump_mass(n), n
 
 
 def _compositions(total: int, parts: int, lo: int, hi: int):

@@ -29,11 +29,6 @@ class TestRectangle:
         assert r.hi == (2, 2, 2)
         assert r.dim == 3
 
-    def test_concat(self):
-        r = Rectangle((0,), (1,)).concat(Rectangle((2, 2), (3, 3)))
-        assert r.lo == (0, 2, 2)
-        assert r.hi == (1, 3, 3)
-
     def test_zero_dim(self):
         assert Rectangle((), ()).dim == 0
         assert Rectangle.cube(0, 5, 7).dim == 0
@@ -70,6 +65,8 @@ class TestSpecValidation:
             rect_count(HypergeomSpec(2, 1, 2), Rectangle.cube(3, 0, 2))
         with pytest.raises(ValueError):
             rect_prob(HypergeomSpec(2, 1, 2), Rectangle.cube(3, 0, 2))
+        with pytest.raises(ValueError):
+            rect_prob(HypergeomSpec(2, 9, 2), Rectangle.cube(3, 0, 2))  # draws beyond the deck
 
 
 class TestRectCount:
