@@ -59,32 +59,34 @@ class MomentsReport:
     sig_figs: int
 
 
-def _conditional(dist: JointDistribution, outcome: Outcome, sig_figs: int) -> OutcomeMoments:
-    col = 1 if outcome is Outcome.BAND else 2
-    marginal = sum((r[col] for r in dist.rows), Fraction(0))
-    if marginal == 0:
-        return OutcomeMoments(marginal, None, None, None)
-    mean = sum((r[0] * r[col] for r in dist.rows), Fraction(0)) / marginal
-    second = sum((r[0] * r[0] * r[col] for r in dist.rows), Fraction(0)) / marginal
-    variance = second - mean * mean
-    return OutcomeMoments(marginal, mean, variance, sqrt_decimal(variance, sig_figs))
+def _conditional(mass: Fraction, first: Fraction, second: Fraction, sig_figs: int) -> OutcomeMoments:
+    """Moments of one outcome from its mass, sum of n*p and sum of n*n*p."""
+    if mass == 0:
+        return OutcomeMoments(mass, None, None, None)
+    mean = first / mass
+    variance = second / mass - mean * mean
+    return OutcomeMoments(mass, mean, variance, sqrt_decimal(variance, sig_figs))
 
 
 def moments(dist: JointDistribution, sig_figs: int = 6) -> MomentsReport:
     """Exact mean/variance of the stopping draw, overall and per outcome."""
-    mean = Fraction(0)
-    second = Fraction(0)
-    for n, band, bump in dist.rows:
-        mass = band + bump
-        mean += n * mass
-        second += n * n * mass
-    variance = second - mean * mean
+    # Per outcome (band, then bump): mass, sum of n*p, sum of n*n*p.
+    sums = [[Fraction(0)] * 3 for _ in range(2)]
+    for n, *masses in dist.rows:
+        for acc, p in zip(sums, masses):
+            if p:
+                acc[0] += p
+                acc[1] += n * p
+                acc[2] += n * n * p
+    band, bump = sums
+    mean = band[1] + bump[1]
+    variance = band[2] + bump[2] - mean * mean
     return MomentsReport(
         mean=mean,
         variance=variance,
         sd=sqrt_decimal(variance, sig_figs),
-        band=_conditional(dist, Outcome.BAND, sig_figs),
-        bump=_conditional(dist, Outcome.BUMP, sig_figs),
+        band=_conditional(*band, sig_figs),
+        bump=_conditional(*bump, sig_figs),
         sig_figs=sig_figs,
     )
 

@@ -10,7 +10,6 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import click
@@ -63,83 +62,51 @@ def main() -> None:
 # ==================== dist ====================
 
 
-@dataclass(frozen=True)
-class OutputTable:
-    """Fully rendered table: header, one row per draw, footer summary rows."""
+def _dist_rows(dist: JointDistribution, report: MomentsReport):
+    """(n, band, bump, total, band | band, bump | bump) for every stored draw.
 
-    header: tuple[str, ...]
-    rows: tuple[tuple[str, ...], ...]
-    footer: tuple[tuple[str, ...], ...]
-
-
-def _cell(x: Fraction, digits: int) -> str:
-    return "" if x == 0 else to_decimal(x, digits)
-
-
-def build_table(dist: JointDistribution, report: MomentsReport, digits: int) -> OutputTable:
-    band_marg = dist.band_marginal
-    bump_marg = dist.bump_marginal
-    rows = []
+    A conditional is None when its outcome has no mass.
+    """
+    band_marg = report.band.marginal
+    bump_marg = report.bump.marginal
     for n, band, bump in dist.rows:
-        cond_band = band / band_marg if band_marg else Fraction(0)
-        cond_bump = bump / bump_marg if bump_marg else Fraction(0)
-        rows.append(
-            (
-                str(n),
-                _cell(band, digits),
-                _cell(bump, digits),
-                _cell(band + bump, digits),
-                _cell(cond_band, digits),
-                _cell(cond_bump, digits),
-            )
+        yield (
+            n,
+            band,
+            bump,
+            band + bump,
+            band / band_marg if band_marg else None,
+            bump / bump_marg if bump_marg else None,
         )
-    footer = (
-        ("Outcome probabilities", _cell(band_marg, digits), _cell(bump_marg, digits), "", "", ""),
-        (
-            "Mean duration",
-            "",
-            "",
-            _cell(report.mean, digits),
-            _cell(report.band.mean, digits) if report.band.mean is not None else "",
-            _cell(report.bump.mean, digits) if report.bump.mean is not None else "",
-        ),
-        (
-            "Standard deviation",
-            "",
-            "",
-            report.sd,
-            report.band.sd or "",
-            report.bump.sd or "",
-        ),
-    )
-    header = ("n", "P[N=n, band]", "P[N=n, bump]", "P[N=n]", "P[N=n | band]", "P[N=n | bump]")
-    return OutputTable(header, tuple(rows), footer)
+
+
+def _cell(x: Fraction | None, digits: int) -> str:
+    return "" if not x else to_decimal(x, digits)
 
 
 def _rat(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _json_value(x: Fraction, digits: int) -> dict:
+def _json_value(x: Fraction | None, digits: int) -> dict | None:
+    if x is None:
+        return None
     return {"exact": _rat(x), "decimal": to_decimal(x, digits)}
 
 
 def dist_json(dist: JointDistribution, report: MomentsReport, digits: int) -> dict:
     p = dist.params
-    band_marg = dist.band_marginal
-    bump_marg = dist.bump_marginal
-    rows = []
-    for n, band, bump in dist.rows:
-        rows.append(
-            {
-                "n": n,
-                "band": _json_value(band, digits),
-                "bump": _json_value(bump, digits),
-                "total": _json_value(band + bump, digits),
-                "band_conditional": _json_value(band / band_marg, digits) if band_marg else None,
-                "bump_conditional": _json_value(bump / bump_marg, digits) if bump_marg else None,
-            }
-        )
+    rows = [
+        {
+            "n": n,
+            "band": _json_value(band, digits),
+            "bump": _json_value(bump, digits),
+            "total": _json_value(total, digits),
+            "band_conditional": _json_value(cond_band, digits),
+            "bump_conditional": _json_value(cond_bump, digits),
+        }
+        for n, band, bump, total, cond_band, cond_bump in _dist_rows(dist, report)
+    ]
     def outcome_block(oc):
         if oc.mean is None:
             return None
@@ -152,8 +119,8 @@ def dist_json(dist: JointDistribution, report: MomentsReport, digits: int) -> di
         "params": {"m": p.m, "s": p.s, "l": p.l, "u": p.u, "t": p.t, "n_max": p.n_max},
         "digits": digits,
         "rows": rows,
-        "band_marginal": _json_value(band_marg, digits),
-        "bump_marginal": _json_value(bump_marg, digits),
+        "band_marginal": _json_value(report.band.marginal, digits),
+        "bump_marginal": _json_value(report.bump.marginal, digits),
         "mean_duration": {
             "overall": _json_value(report.mean, digits),
             "variance": _rat(report.variance),
@@ -181,11 +148,17 @@ def cmd_dist(m: int, s: int, l: int, u: int, digits: int, fmt: str) -> None:
     if fmt == "json":
         click.echo(json.dumps(dist_json(dist, report, digits), indent=2))
         return
-    table = build_table(dist, report, digits)
+    band, bump = report.band, report.bump
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(table.header)
-    writer.writerows(table.rows)
-    writer.writerows(table.footer)
+    writer.writerow(("n", "P[N=n, band]", "P[N=n, bump]", "P[N=n]", "P[N=n | band]", "P[N=n | bump]"))
+    writer.writerows((n, *(_cell(x, digits) for x in row)) for n, *row in _dist_rows(dist, report))
+    writer.writerows(
+        (
+            ("Outcome probabilities", _cell(band.marginal, digits), _cell(bump.marginal, digits), "", "", ""),
+            ("Mean duration", "", "", *(_cell(x, digits) for x in (report.mean, band.mean, bump.mean))),
+            ("Standard deviation", "", "", report.sd, band.sd or "", bump.sd or ""),
+        )
+    )
 
 
 # ==================== verify ====================
@@ -296,8 +269,11 @@ def cmd_scan(kind: str, m_max: int, s_max: int, out: str | None) -> None:
     )
     payload = json.dumps(report.to_json_dict(), indent=2)
     if out is not None:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(payload + "\n")
+        except OSError as exc:
+            raise click.BadParameter(f"cannot write {out}: {exc.strerror}", param_hint="'--out'") from exc
     else:
         click.echo(payload)
     if kind == "nonvacuity" and not report.ok:

@@ -39,12 +39,11 @@ def multinomial(n: int, parts: list[int] | tuple[int, ...]) -> int:
 
 def _floor_log10(x: Fraction) -> int:
     """Largest e with 10**e <= x, for x > 0."""
-    e = len(str(x.numerator)) - len(str(x.denominator))
-    while Fraction(10) ** e > x:
-        e -= 1
-    while Fraction(10) ** (e + 1) <= x:
-        e += 1
-    return e
+    num, den = x.numerator, x.denominator
+    # The digit-count difference is either exact or one too high.
+    e = len(str(num)) - len(str(den))
+    too_high = num < den * 10**e if e >= 0 else num * 10**-e < den
+    return e - too_high
 
 
 def _round_half_even(x: Fraction) -> int:

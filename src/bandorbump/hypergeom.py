@@ -7,8 +7,9 @@ rectangles: every coordinate j lands inside [lo_j, hi_j].
 
 The number of deals landing in a rectangle is the coefficient of z**draws in
 the product over coordinates of sum_{x=lo_j}^{hi_j} C(rank_size, x) * z**x.
-That product is expanded with exact integer convolution, truncated at degree
-``draws``, so no probability below ever touches floating point.  The same
+That product is expanded once per rectangle shape with exact integer
+convolution and cached, so every draw count reads its coefficient from the
+same polynomial and no probability below ever touches floating point.  The same
 two polynomial helpers, ``window_poly`` and ``truncated_product``, build the
 generating-function powers of the stopping-law engine.
 """
@@ -92,16 +93,11 @@ def truncated_product(p: list[int], q: list[int], degree: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _rect_count(draws: int, rank_size: int, lo: tuple[int, ...], hi: tuple[int, ...]) -> int:
-    if not lo:
-        return 1 if draws == 0 else 0
-    caps = [min(h, rank_size) for h in hi]
-    if draws < sum(lo) or draws > sum(caps):
-        return 0
+def _rect_poly(rank_size: int, lo: tuple[int, ...], hi: tuple[int, ...]) -> tuple[int, ...]:
     poly = [1]
-    for lo_j, hi_j in zip(lo, caps):
-        poly = truncated_product(poly, window_poly(rank_size, lo_j, hi_j), draws)
-    return poly[draws] if draws < len(poly) else 0
+    for lo_j, hi_j in zip(lo, hi):
+        poly = truncated_product(poly, window_poly(rank_size, lo_j, hi_j), rank_size * len(lo))
+    return tuple(poly)
 
 
 def rect_count(spec: HypergeomSpec, rect: Rectangle) -> int:
@@ -113,7 +109,8 @@ def rect_count(spec: HypergeomSpec, rect: Rectangle) -> int:
     """
     if rect.dim != spec.dim:
         raise ValueError(f"rectangle dim {rect.dim} != spec dim {spec.dim}")
-    return _rect_count(spec.draws, spec.rank_size, rect.lo, rect.hi)
+    poly = _rect_poly(spec.rank_size, rect.lo, rect.hi)
+    return poly[spec.draws] if spec.draws < len(poly) else 0
 
 
 def rect_prob(spec: HypergeomSpec, rect: Rectangle) -> Fraction:

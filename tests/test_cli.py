@@ -197,6 +197,14 @@ class TestScan:
         assert doc["kind"] == "bump-logconcavity"
         assert doc["ok"] is True
 
+    def test_unwritable_out_is_usage_error(self, tmp_path):
+        target = tmp_path / "missing" / "r.json"
+        proc = run_cli("scan", "nonvacuity", "--m-max", "2", "--s-max", "3", "--out", str(target))
+        assert proc.returncode == 2
+        assert str(target) in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not target.exists()
+
     def test_empty_grid_is_usage_error(self):
         # a grid without a cell 0 < l < u < s would report a vacuous "ok"
         for kind, bound in [("nonvacuity", "--m-max=1"), ("bump-logconcavity", "--s-max=2")]:

@@ -187,3 +187,36 @@ class TestSqrtDecimal:
         h = Fraction(1, 2) * Fraction(10) ** exponent
         assert (approx - h) ** 2 <= f
         assert f <= (approx + h) ** 2
+
+
+
+def _near_powers_of_ten():
+    """10**k, 10**k -/+ 10**-40 and 10**k / 3 for k in [-30, 30].
+
+    The decimal exponent comes from a digit-count estimate that is exact or
+    one too high: exact on the first three, one too high on 10**k / 3.
+    """
+    tiny = Fraction(1, 10**40)
+    for k in range(-30, 31):
+        power = Fraction(10) ** k
+        yield from (power, power - tiny, power + tiny, power / 3)
+
+
+def _rounded(x, sig):
+    """x > 0 correctly rounded by the decimal module, written with all sig figures."""
+    ctx = decimal.Context(prec=sig, rounding=decimal.ROUND_HALF_EVEN)
+    d = ctx.divide(decimal.Decimal(x.numerator), decimal.Decimal(x.denominator))
+    return format(ctx.quantize(d, decimal.Decimal(1).scaleb(d.adjusted() - sig + 1)), "f")
+
+
+class TestPowerOfTenBoundaries:
+    @pytest.mark.parametrize("sig", [1, 3, 6, 20])
+    def test_to_decimal(self, sig):
+        for x in _near_powers_of_ten():
+            assert to_decimal(x, sig) == _rounded(x, sig), (x, sig)
+
+    @pytest.mark.parametrize("sig", [1, 3, 6, 20])
+    def test_sqrt_decimal_of_squares(self, sig):
+        # 10**(2k), just below and above it, and 10**(2k) / 9 (an odd exponent).
+        for y in _near_powers_of_ten():
+            assert sqrt_decimal(y * y, sig) == _rounded(y, sig), (y, sig)
