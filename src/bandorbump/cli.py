@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 verification failure or falsified scan property,
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -31,6 +32,10 @@ from .oracle import compare, exhaustive_distribution, simulate
 # binomial z-score to be meaningful, so the verify command leaves them
 # unscored.
 _MIN_SCORED_PROB = 1e-5
+
+# to_decimal prints its significand as an int, which Python refuses past 4300
+# digits; 1000 significant figures is already far more than any table needs.
+_MAX_DIGITS = 1000
 
 
 def _parse_params(m: int, s: int, l: int, u: int) -> GameParams:
@@ -134,7 +139,7 @@ def dist_json(dist: JointDistribution, report: MomentsReport, digits: int) -> di
 @main.command("dist")
 @game_options
 @click.option(
-    "--digits", type=click.IntRange(min=1), default=6, show_default=True,
+    "--digits", type=click.IntRange(1, _MAX_DIGITS), default=6, show_default=True,
     help="Significant figures.",
 )
 @click.option(
@@ -250,32 +255,30 @@ def cmd_scan(kind: str, m_max: int, s_max: int, out: str | None) -> None:
     nonvacuity failures falsify a proved property and exit 1;
     bump-logconcavity hits concern a conjecture only and still exit 0.
     """
-    m_range = (2, m_max)
-    s_range = (2, s_max)
-    report: ScanReport
-    if kind == "nonvacuity":
-        report = nonvacuity_scan(m_range, s_range)
-    else:
-        report = bump_logconcavity_scan(m_range, s_range)
-    if report.cells == 0:
+    if m_max < 2 or s_max < 3:
         raise click.UsageError(
             f"the grid m <= {m_max}, s <= {s_max} has no cell with 0 < l < u < s; "
             "it needs --m-max >= 2 and --s-max >= 3"
         )
-    noun = "counterexamples" if kind == "nonvacuity" else "findings"
-    click.echo(
-        f"{kind}: {report.cells} parameter cells, {report.checks} checks, "
-        f"{len(report.findings)} {noun}"
-    )
-    payload = json.dumps(report.to_json_dict(), indent=2)
-    if out is not None:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(payload + "\n")
-        except OSError as exc:
-            raise click.BadParameter(f"cannot write {out}: {exc.strerror}", param_hint="'--out'") from exc
-    else:
-        click.echo(payload)
+    m_range = (2, m_max)
+    s_range = (2, s_max)
+    # Open --out first, so an unwritable path fails before the scan runs.
+    try:
+        sink = contextlib.nullcontext() if out is None else open(out, "w", encoding="utf-8")
+    except OSError as exc:
+        raise click.BadParameter(f"cannot write {out}: {exc.strerror}", param_hint="'--out'") from exc
+    with sink as fh:
+        report: ScanReport
+        if kind == "nonvacuity":
+            report = nonvacuity_scan(m_range, s_range)
+        else:
+            report = bump_logconcavity_scan(m_range, s_range)
+        noun = "counterexamples" if kind == "nonvacuity" else "findings"
+        click.echo(
+            f"{kind}: {report.cells} parameter cells, {report.checks} checks, "
+            f"{len(report.findings)} {noun}"
+        )
+        click.echo(json.dumps(report.to_json_dict(), indent=2), file=fh)
     if kind == "nonvacuity" and not report.ok:
         sys.exit(1)
 
@@ -288,7 +291,7 @@ def cmd_scan(kind: str, m_max: int, s_max: int, out: str | None) -> None:
 @click.option("--band", "band_pay", type=str, required=True, help="Payout on a band (exact decimal).")
 @click.option("--bump", "bump_pay", type=str, required=True, help="Payout on a bump (exact decimal).")
 @click.option(
-    "--digits", type=click.IntRange(min=1), default=6, show_default=True,
+    "--digits", type=click.IntRange(1, _MAX_DIGITS), default=6, show_default=True,
     help="Significant figures.",
 )
 def cmd_payoff(m: int, s: int, l: int, u: int, band_pay: str, bump_pay: str, digits: int) -> None:

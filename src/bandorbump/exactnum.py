@@ -37,20 +37,34 @@ def multinomial(n: int, parts: list[int] | tuple[int, ...]) -> int:
     return out
 
 
-def _floor_log10(x: Fraction) -> int:
-    """Largest e with 10**e <= x, for x > 0."""
-    num, den = x.numerator, x.denominator
-    # The digit-count difference is either exact or one too high.
-    e = len(str(num)) - len(str(den))
+# log10(2) truncated to 42 decimals.  The floor in _floor_log10 is taken of
+# (d + 1) * log10(2) for a bit-length difference d; an error below 1e-42 moves
+# it only if that product lies within |d + 1| * 1e-42 of an integer, which no
+# bit length that fits in memory comes close to.
+_LOG10_2_NUM = 301029995663981195213738894724493026768189
+_LOG10_2_DEN = 10**42
+
+
+def _floor_log10(num: int, den: int) -> int:
+    """Largest e with 10**e <= num / den, for num, den > 0."""
+    # num / den lies strictly between 2**(d - 1) and 2**(d + 1), a span under
+    # one decade, so floor((d + 1) * log10(2)) is exact or one too high.
+    d = num.bit_length() - den.bit_length()
+    e = (d + 1) * _LOG10_2_NUM // _LOG10_2_DEN
     too_high = num < den * 10**e if e >= 0 else num * 10**-e < den
     return e - too_high
 
 
-def _round_half_even(x: Fraction) -> int:
-    """Nearest integer to x >= 0, ties to the even neighbour."""
-    n, r = divmod(x.numerator, x.denominator)
+def _scale(num: int, den: int, k: int) -> tuple[int, int]:
+    """num / den times 10**k, as an unreduced (numerator, denominator) pair."""
+    return (num * 10**k, den) if k >= 0 else (num, den * 10**-k)
+
+
+def _round_half_even(num: int, den: int) -> int:
+    """Nearest integer to num / den >= 0, ties to the even neighbour."""
+    n, r = divmod(num, den)
     twice = 2 * r
-    if twice > x.denominator or (twice == x.denominator and n % 2 == 1):
+    if twice > den or (twice == den and n % 2 == 1):
         return n + 1
     return n
 
@@ -76,9 +90,9 @@ def to_decimal(x: Fraction | int, sig_figs: int = 6) -> str:
     if f == 0:
         return "0"
     sign = "-" if f < 0 else ""
-    f = abs(f)
-    e = _floor_log10(f)
-    d = _round_half_even(f * Fraction(10) ** (sig_figs - 1 - e))
+    num, den = abs(f.numerator), f.denominator
+    e = _floor_log10(num, den)
+    d = _round_half_even(*_scale(num, den, sig_figs - 1 - e))
     if d == 10**sig_figs:
         d //= 10
         e += 1
@@ -99,13 +113,15 @@ def sqrt_decimal(x: Fraction | int, sig_figs: int = 6) -> str:
         raise ValueError(f"sqrt_decimal requires x >= 0, got {x}")
     if f == 0:
         return "0"
-    e = _floor_log10(f) // 2  # 10**e <= sqrt(f) < 10**(e+1)
-    w = f * Fraction(10) ** (2 * (sig_figs - 1 - e))
-    a = math.isqrt(w.numerator * w.denominator) // w.denominator
+    e = _floor_log10(f.numerator, f.denominator) // 2  # 10**e <= sqrt(f) < 10**(e+1)
+    # w = num / den is f * 10**(2 * (sig_figs - 1 - e)), not reduced; neither
+    # step below needs it reduced.
+    num, den = _scale(f.numerator, f.denominator, 2 * (sig_figs - 1 - e))
+    a = math.isqrt(num * den) // den
     # Compare sqrt(w) against a + 1/2 without leaving the integers:
     # sqrt(w) > a + 1/2  iff  4*num > den*(2a+1)^2.
-    lhs = 4 * w.numerator
-    rhs = w.denominator * (2 * a + 1) ** 2
+    lhs = 4 * num
+    rhs = den * (2 * a + 1) ** 2
     if lhs > rhs or (lhs == rhs and a % 2 == 1):
         d = a + 1
     else:

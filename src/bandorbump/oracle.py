@@ -9,10 +9,14 @@ Two routes, sharing no algebra with the formula engine:
 * ``simulate`` plays the game for real on seeded shuffles and tallies the
   empirical law; ``compare`` scores it against an exact law cell by cell.
 
-The DP walks unordered tally multisets rather than ordered vectors: both
-stopping rules and the per-draw transition weights depend only on how many
-ranks hold each tally, so aggregating permutations loses nothing and shrinks
-the state space.
+The DP state is the histogram of the tallies: ``h[v]`` ranks hold tally v,
+for 0 <= v <= u.  Both stopping rules and the per-draw transition weights
+depend only on how many ranks hold each tally, so aggregating permutations
+loses nothing, and a draw moves one rank from ``h[v]`` to ``h[v + 1]``.  There
+are at most C(m + u, m) histograms.  Each state carries the integer count of
+ordered deal prefixes (cards told apart) that reach it; every count at draw n
+shares the denominator t (t - 1) ... (t - n + 1), so a probability is formed
+only once per emitted (n, outcome) cell.
 """
 
 from __future__ import annotations
@@ -27,59 +31,57 @@ from fractions import Fraction
 from .distribution import ConsistencyError, GameParams, JointDistribution, Outcome
 
 
-def _classify(state: tuple[int, ...], l: int, u: int) -> Outcome | None:
-    """Apply the stopping rules to a tally multiset, None if play continues.
-
-    States are only ever examined after at least one draw, so the empty
-    tally never counts as a band even when l = 0.
-    """
-    if state[-1] > u:  # sorted ascending; only the top entry can overshoot
-        return Outcome.BUMP
-    if state[0] >= l:
-        return Outcome.BAND
-    return None
-
-
 def exhaustive_distribution(params: GameParams, cap: int = 16) -> JointDistribution:
     """Exact stopping law by full dynamic programming; refuses t > cap.
 
-    Transition: from a tally vector with n - 1 cards dealt, rank j is drawn
-    next with probability (s - x_j) / (t - (n - 1)).
+    Transition: from a tally histogram h with n - 1 cards dealt, one of the
+    h[v] * (s - v) cards left in ranks at tally v is drawn next, out of
+    t - (n - 1).  Drawing from tally u is a bump; a draw that leaves no rank
+    below l is a band.  Only dealt states are examined, so the empty tally
+    never counts as a band even when l = 0.
     """
     t = params.t
     if t > cap:
         raise ValueError(f"deck size t={t} exceeds the exhaustive cap {cap}")
     m, s, l, u = params.m, params.s, params.l, params.u
     horizon = max(params.n_max, 1)
+    # Draws below tally u: (v, cards left in such a rank, whether the rank
+    # reaches l).  A draw from tally u is a bump, open only when u < s.
+    lanes = [(v, s - v, v == l - 1) for v in range(u)]
+    bump_left = s - u
     band: dict[int, Fraction] = {}
     bump: dict[int, Fraction] = {}
-    alive: dict[tuple[int, ...], Fraction] = {(0,) * m: Fraction(1)}
+    alive: dict[tuple[int, ...], int] = {(m,) + (0,) * u: 1}
+    deals = 1  # ordered prefixes of n cards: t (t - 1) ... (t - n + 1)
     for n in range(1, horizon + 1):
-        remaining = t - (n - 1)
-        nxt: dict[tuple[int, ...], Fraction] = {}
-        for state, p in alive.items():
-            i = 0
-            while i < m:
-                v = state[i]
-                j = i
-                while j < m and state[j] == v:
-                    j += 1
-                if v < s:
-                    # (j - i) ranks hold tally v; drawing any one of them
-                    # leads to the same multiset.
-                    q = p * Fraction((j - i) * (s - v), remaining)
-                    child = state[:j - 1] + (v + 1,) + state[j:]
-                    hit = _classify(child, l, u)
-                    if hit is Outcome.BUMP:
-                        bump[n] = bump.get(n, Fraction(0)) + q
-                    elif hit is Outcome.BAND:
-                        band[n] = band.get(n, Fraction(0)) + q
-                    else:
-                        nxt[child] = nxt.get(child, Fraction(0)) + q
-                i = j
+        deals *= t - (n - 1)
+        nxt: dict[tuple[int, ...], int] = {}
+        band_n = bump_n = 0
+        for h, count in alive.items():
+            short = sum(h[:l])  # ranks still below l
+            bump_n += count * h[u] * bump_left
+            child = list(h)
+            for v, left, reaches_l in lanes:
+                k = h[v]
+                if not k:
+                    continue
+                w = count * k * left
+                if short - reaches_l == 0:  # the draw leaves no rank below l
+                    band_n += w
+                    continue
+                child[v] = k - 1
+                child[v + 1] += 1
+                key = tuple(child)
+                nxt[key] = nxt.get(key, 0) + w
+                child[v] = k
+                child[v + 1] -= 1
+        if band_n:
+            band[n] = Fraction(band_n, deals)
+        if bump_n:
+            bump[n] = Fraction(bump_n, deals)
         alive = nxt
     if alive:
-        leftover = sum(alive.values())
+        leftover = Fraction(sum(alive.values()), deals)
         raise ConsistencyError(
             f"{leftover} probability mass still alive past draw {horizon} for {params}"
         )

@@ -85,6 +85,19 @@ class TestDistCsv:
         assert "Traceback" not in proc.stderr
 
 
+    def test_digits_past_the_bound_exit_2(self):
+        # a significand of 5000 digits cannot be printed; refuse it up front
+        game = ("-m", "2", "-s", "3", "-l", "1", "-u", "2")
+        for op in (("dist", *game), ("payoff", *game, "--band", "1", "--bump", "1")):
+            proc = run_cli(*op, "--digits", "5000")
+            assert proc.returncode == 2, op
+            assert "--digits" in proc.stderr and "1<=x<=1000" in proc.stderr
+            assert "Traceback" not in proc.stderr
+            proc = run_cli(*op, "--digits", "1000")
+            assert proc.returncode == 0, op
+            assert "Traceback" not in proc.stderr
+
+
 class TestDistJson:
     def test_tiny_game_values(self):
         proc = run_cli(
@@ -204,6 +217,7 @@ class TestScan:
         assert str(target) in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not target.exists()
+        assert proc.stdout == ""  # refused before the scan ran
 
     def test_empty_grid_is_usage_error(self):
         # a grid without a cell 0 < l < u < s would report a vacuous "ok"

@@ -420,6 +420,10 @@ class TestGeneratingFunctionRows:
         reference = exhaustive_distribution(params, cap=52)
         assert joint_distribution(params).matches(reference)
 
+    def test_fifty_two_rank_deck_matches_dynamic_programming(self):
+        p = GameParams(52, 4, 1, 3)
+        assert joint_distribution(p).matches(exhaustive_distribution(p, cap=208))
+
     def test_fifty_two_rank_deck_solves_cold(self):
         joint_distribution.cache_clear()
         p = GameParams(52, 4, 1, 3)
@@ -450,7 +454,8 @@ class TestAgainstExhaustiveOracle:
         assert formula.matches(reference), params
 
     def test_suit_game_partial_mass_is_consistent(self):
-        # t = 52 is far past the exhaustive cap; check internal invariants
+        # internal invariants; the exact DP proof of this deck is in
+        # TestGeneratingFunctionRows
         dist = joint_distribution(SUIT_GAME)
         assert dist.band_marginal + dist.bump_marginal == 1
         assert all(band >= 0 and bump >= 0 for _, band, bump in dist.rows)

@@ -193,8 +193,9 @@ class TestSqrtDecimal:
 def _near_powers_of_ten():
     """10**k, 10**k -/+ 10**-40 and 10**k / 3 for k in [-30, 30].
 
-    The decimal exponent comes from a digit-count estimate that is exact or
-    one too high: exact on the first three, one too high on 10**k / 3.
+    The decimal exponent comes from a bit-length estimate that is exact or
+    one too high: one too high on 10**k - 10**-40 for every k, exact on
+    10**k and 10**k + 10**-40, and either on 10**k / 3.
     """
     tiny = Fraction(1, 10**40)
     for k in range(-30, 31):
@@ -220,3 +221,23 @@ class TestPowerOfTenBoundaries:
         # 10**(2k), just below and above it, and 10**(2k) / 9 (an odd exponent).
         for y in _near_powers_of_ten():
             assert sqrt_decimal(y * y, sig) == _rounded(y, sig), (y, sig)
+
+
+class TestLongIntegers:
+    """Values whose integers Python will not turn into strings (over 4300 digits)."""
+
+    def test_past_the_string_conversion_limit(self):
+        tiny = Fraction(1, 3**9500)  # about 10**-4533
+        assert to_decimal(tiny) == _rounded(tiny, 6)
+        assert to_decimal(1 / tiny, 8) == _rounded(1 / tiny, 8)
+        assert sqrt_decimal(tiny * tiny) == _rounded(tiny, 6)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_exponent_near_a_hundred_thousand_bits(self, sign):
+        for j in range(99_995, 100_005):
+            x = Fraction(2) ** (sign * j)
+            assert to_decimal(x, 8) == _rounded(x, 8), j
+        for k in range(30_101, 30_106):
+            power = Fraction(10) ** (sign * k)
+            for x in (power, power - power / 10**40, power + power / 10**40):
+                assert to_decimal(x, 3) == _rounded(x, 3), (k, x > power)

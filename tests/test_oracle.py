@@ -4,7 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bandorbump.distribution import GameParams, JointDistribution, Outcome, joint_distribution
+from bandorbump.distribution import (
+    ConsistencyError,
+    GameParams,
+    JointDistribution,
+    Outcome,
+    joint_distribution,
+)
 from bandorbump.oracle import (
     ComparisonReport,
     EmpiricalDistribution,
@@ -62,6 +68,26 @@ class TestExhaustive:
         for shape in [(2, 3, 1, 2), (2, 4, 1, 3), (3, 3, 1, 2), (2, 5, 2, 4), (4, 2, 1, 2)]:
             params = GameParams(*shape)
             assert joint_distribution(params).matches(exhaustive_distribution(params)), shape
+
+    def test_agrees_with_formula_engine_on_every_small_cell(self):
+        # every window corner 0 <= l <= u <= s on every deck with m, s <= 8
+        cells = 0
+        for m in range(1, 9):
+            for s in range(1, 9):
+                for u in range(s + 1):
+                    for l in range(u + 1):
+                        params = GameParams(m, s, l, u)
+                        reference = exhaustive_distribution(params, cap=params.t)
+                        assert joint_distribution(params).matches(reference), params
+                        cells += 1
+        assert cells == 1312
+
+    def test_mass_alive_past_the_horizon_is_an_error(self, monkeypatch):
+        # (2, 3, 1, 2) stops at draw 3 with probability 2/5; cut the horizon
+        # to 2 draws and that mass must be reported, not dropped
+        monkeypatch.setattr(GameParams, "n_max", property(lambda self: 2))
+        with pytest.raises(ConsistencyError, match="^2/5 probability mass still alive past draw 2"):
+            exhaustive_distribution(GameParams(2, 3, 1, 2))
 
 
 class TestSimulate:
