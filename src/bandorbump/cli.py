@@ -90,7 +90,18 @@ def _cell(x: Fraction | None, digits: int) -> str:
 
 
 def _rat(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        # Since 3.11 (and 3.10.7) str() refuses ints past 4300 digits, which a
+        # variance denominator reaches near t = 5500; lift the limit for this
+        # output alone.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return f"{x.numerator}/{x.denominator}"
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def _json_value(x: Fraction | None, digits: int) -> dict | None:

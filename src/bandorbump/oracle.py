@@ -8,6 +8,12 @@ Two routes, sharing no algebra with the formula engine:
   than a configurable cap.
 * ``simulate`` plays the game for real on seeded shuffles and tallies the
   empirical law; ``compare`` scores it against an exact law cell by cell.
+  Trial i is dealt from the shuffle that
+  ``random.Random(_trial_seed(seed, i)).shuffle`` would make, and
+  ``_trial_seed`` alone defines that seed.  ``simulate`` makes the same
+  ``getrandbits`` calls as ``Random.shuffle`` inline on one reseeded
+  generator, because building a generator per trial and calling
+  ``_randbelow`` per swap cost more than playing the deal.
 
 The DP state is the histogram of the tallies: ``h[v]`` ranks hold tally v,
 for 0 <= v <= u.  Both stopping rules and the per-draw transition weights
@@ -104,26 +110,37 @@ class EmpiricalDistribution:
     counts: Counter[tuple[int, Outcome]]
 
 
-def _trial_rng(seed: int, index: int) -> random.Random:
-    # Stable splittable seeding: each trial's generator is derived from a
-    # digest of (seed, index), so runs are reproducible and trials do not
-    # share state.
+def _trial_seed(seed: int, index: int) -> int:
+    # Stable splittable seeding: trial i's generator is seeded from a digest
+    # of (seed, i), so runs are reproducible and trials do not share state.
     digest = hashlib.sha256(f"{seed}/{index}".encode()).digest()
-    return random.Random(int.from_bytes(digest[:16], "big"))
+    return int.from_bytes(digest[:16], "big")
 
 
 def simulate(params: GameParams, trials: int, seed: int = 0) -> EmpiricalDistribution:
-    """Play `trials` independent deals on seeded shuffles and tally outcomes."""
+    """Play `trials` independent deals on seeded shuffles and tally outcomes.
+
+    The shuffle is Fisher-Yates from the back, as ``Random.shuffle`` runs it:
+    position i swaps with j, the first of ``getrandbits((i + 1).bit_length())``
+    draws that is at most i.
+    """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     m, s, l, u = params.m, params.s, params.l, params.u
     base_deck = [rank for rank in range(m) for _ in range(s)]
+    swaps = [(i, (i + 1).bit_length()) for i in range(len(base_deck) - 1, 0, -1)]
     latest = max(params.n_max, 1)
     counts: Counter[tuple[int, Outcome]] = Counter()
+    rng = random.Random()
+    getrandbits = rng.getrandbits
     for index in range(trials):
-        rng = _trial_rng(seed, index)
+        rng.seed(_trial_seed(seed, index))
         deck = base_deck.copy()
-        rng.shuffle(deck)
+        for i, k in swaps:
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            deck[i], deck[j] = deck[j], deck[i]
         tallies = [0] * m
         short = m if l > 0 else 0  # ranks still under their lower quota
         for n, rank in enumerate(deck, start=1):

@@ -4,11 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import pytest
+
+from bandorbump.cli import _rat
 
 TIMEOUT = 120
 
@@ -130,6 +133,16 @@ class TestDistJson:
         assert row["band_conditional"] is None
         assert row["bump_conditional"]["exact"] == "1/1"
         assert doc["mean_duration"]["band"] is None
+
+    def test_exact_string_past_the_int_digit_limit(self):
+        # 3**9500 has 4 533 digits, past the 4 300 that str() allows by default
+        x = Fraction(2, 3**9500)
+        get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+        limit = get_limit()
+        num, den = _rat(x).split("/")
+        assert len(den) == 4533
+        assert Fraction(int(Decimal(num)), int(Decimal(den))) == x  # no int(str) limit
+        assert get_limit() == limit
 
 
 class TestVerify:

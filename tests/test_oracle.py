@@ -1,4 +1,6 @@
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,10 +16,30 @@ from bandorbump.distribution import (
 from bandorbump.oracle import (
     ComparisonReport,
     EmpiricalDistribution,
+    _trial_seed,
     compare,
     exhaustive_distribution,
     simulate,
 )
+
+
+def shuffled_deal_counts(params: GameParams, trials: int, seed: int) -> Counter:
+    """Reference for simulate: a fresh generator per trial, random.shuffle, and
+    the stopping rules checked from their definitions on every draw."""
+    counts: Counter = Counter()
+    for index in range(trials):
+        deck = [rank for rank in range(params.m) for _ in range(params.s)]
+        random.Random(_trial_seed(seed, index)).shuffle(deck)
+        tallies = [0] * params.m
+        for n, rank in enumerate(deck, start=1):
+            tallies[rank] += 1
+            if tallies[rank] > params.u:
+                counts[(n, Outcome.BUMP)] += 1
+                break
+            if min(tallies) >= params.l:
+                counts[(n, Outcome.BAND)] += 1
+                break
+    return counts
 
 
 def rows_as_dict(dist: JointDistribution) -> dict[int, tuple[Fraction, Fraction]]:
@@ -147,6 +169,29 @@ class TestSimulate:
         p = 1 / 3
         se = math.sqrt(p * (1 - p) / trials)
         assert abs(bumps / trials - p) < 4 * se
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            # shapes whose outcome is fixed, for the loop's corners
+            (1, 1, 0, 1),  # one card, no swap
+            (2, 1, 1, 1),  # two cards: one 2-bit draw, half of them redrawn
+            (1, 2, 1, 2),
+            (33, 1, 1, 1),  # 6-bit draws for n = 33
+            (5, 13, 0, 13),  # l = 0 and u = s
+            # shapes whose outcome rests on the draws
+            (2, 2, 1, 1),
+            (13, 4, 1, 3),
+            (4, 13, 5, 8),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 7, -3])
+    def test_deals_follow_random_shuffle(self, shape, seed):
+        # simulate inlines Random.shuffle's getrandbits calls; if a Python
+        # release changes shuffle's stream, this fails before any output moves
+        params = GameParams(*shape)
+        emp = simulate(params, 3000, seed=seed)
+        assert emp.counts == shuffled_deal_counts(params, 3000, seed)
 
 
 class TestCompare:
