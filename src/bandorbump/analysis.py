@@ -59,34 +59,38 @@ class MomentsReport:
     sig_figs: int
 
 
-def _conditional(mass: Fraction, first: Fraction, second: Fraction, sig_figs: int) -> OutcomeMoments:
-    """Moments of one outcome from its mass, sum of n*p and sum of n*n*p."""
+def _conditional(mass: int, first: int, second: int, denominator: int, sig_figs: int) -> OutcomeMoments:
+    """Moments of one outcome from the numerators, over denominator, of its
+    mass, sum of n*p and sum of n*n*p."""
+    marginal = Fraction(mass, denominator)
     if mass == 0:
-        return OutcomeMoments(mass, None, None, None)
-    mean = first / mass
-    variance = second / mass - mean * mean
-    return OutcomeMoments(mass, mean, variance, sqrt_decimal(variance, sig_figs))
+        return OutcomeMoments(marginal, None, None, None)
+    # The shared denominator cancels from the conditional moments.
+    variance = Fraction(second * mass - first * first, mass * mass)
+    return OutcomeMoments(marginal, Fraction(first, mass), variance, sqrt_decimal(variance, sig_figs))
 
 
 def moments(dist: JointDistribution, sig_figs: int = 6) -> MomentsReport:
     """Exact mean/variance of the stopping draw, overall and per outcome."""
-    # Per outcome (band, then bump): mass, sum of n*p, sum of n*n*p.
-    sums = [[Fraction(0)] * 3 for _ in range(2)]
-    for n, *masses in dist.rows:
+    # Per outcome (band, then bump): numerators over dist.denominator of the
+    # mass, sum of n*p and sum of n*n*p.
+    sums = [[0] * 3 for _ in range(2)]
+    for n, *masses in dist.numerators:
         for acc, p in zip(sums, masses):
             if p:
                 acc[0] += p
                 acc[1] += n * p
                 acc[2] += n * n * p
     band, bump = sums
-    mean = band[1] + bump[1]
-    variance = band[2] + bump[2] - mean * mean
+    d = dist.denominator
+    first = band[1] + bump[1]
+    variance = Fraction((band[2] + bump[2]) * d - first * first, d * d)
     return MomentsReport(
-        mean=mean,
+        mean=Fraction(first, d),
         variance=variance,
         sd=sqrt_decimal(variance, sig_figs),
-        band=_conditional(*band, sig_figs),
-        bump=_conditional(*bump, sig_figs),
+        band=_conditional(*band, d, sig_figs),
+        bump=_conditional(*bump, d, sig_figs),
         sig_figs=sig_figs,
     )
 
@@ -112,7 +116,9 @@ class PayoffSpec:
 
 def payoff_ev(dist: JointDistribution, payoff: PayoffSpec) -> Fraction:
     """Exact expected payoff of one deal."""
-    return payoff.band * dist.band_marginal + payoff.bump * dist.bump_marginal
+    band = sum(r[1] for r in dist.numerators)
+    bump = sum(r[2] for r in dist.numerators)
+    return (payoff.band * band + payoff.bump * bump) / dist.denominator
 
 
 # ==================== log-concavity ====================
@@ -129,7 +135,7 @@ class LogConcavityResult:
 
 def log_concavity(seq: Sequence[Fraction | int]) -> LogConcavityResult:
     """Exact log-concavity check; violation indices point into seq."""
-    values = [Fraction(x) for x in seq]
+    values = list(seq)
     if any(v < 0 for v in values):
         raise ValueError("log-concavity is defined here for non-negative sequences")
     bad: set[int] = set()
@@ -258,7 +264,8 @@ def _logconcavity_scan(
         cells += 1
         dist = joint_distribution(p)
         first = p.m * p.l if outcome is Outcome.BAND else p.u + 1
-        seq = [dist.mass(n, outcome) for n in range(first, p.n_max + 1)]
+        # Numerators over one denominator: a common scale leaves log-concavity as it is.
+        seq = [dist.numerator(n, outcome) for n in range(first, p.n_max + 1)]
         checks += max(len(seq) - 2, 0)
         result = log_concavity(seq)
         for i in result.violations:

@@ -67,31 +67,42 @@ def main() -> None:
 # ==================== dist ====================
 
 
-def _dist_rows(dist: JointDistribution, report: MomentsReport):
+def _ratio(x: Fraction | None) -> tuple[int, int] | None:
+    return None if x is None else (x.numerator, x.denominator)
+
+
+def _dist_rows(dist: JointDistribution):
     """(n, band, bump, total, band | band, bump | bump) for every stored draw.
 
-    A conditional is None when its outcome has no mass.
+    Each value is an unreduced (numerator, denominator) pair; a conditional
+    is None when its outcome has no mass.
     """
-    band_marg = report.band.marginal
-    bump_marg = report.bump.marginal
-    for n, band, bump in dist.rows:
+    d = dist.denominator
+    band_marg = sum(r[1] for r in dist.numerators)
+    bump_marg = sum(r[2] for r in dist.numerators)
+    for n, band, bump in dist.numerators:
         yield (
             n,
-            band,
-            bump,
-            band + bump,
-            band / band_marg if band_marg else None,
-            bump / bump_marg if bump_marg else None,
+            (band, d),
+            (bump, d),
+            (band + bump, d),
+            (band, band_marg) if band_marg else None,
+            (bump, bump_marg) if bump_marg else None,
         )
 
 
-def _cell(x: Fraction | None, digits: int) -> str:
-    return "" if not x else to_decimal(x, digits)
+def _cell(x: tuple[int, int] | None, digits: int) -> str:
+    return "" if x is None or not x[0] else to_decimal(x, digits)
 
 
-def _rat(x: Fraction) -> str:
+def _rat(x: Fraction | tuple[int, int]) -> str:
+    """x as the string "num/den" in lowest terms; a (numerator, denominator)
+    pair is reduced here, with one gcd."""
+    num, den = _ratio(x) if isinstance(x, Fraction) else x
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
     try:
-        return f"{x.numerator}/{x.denominator}"
+        return f"{num}/{den}"
     except ValueError:
         # Since 3.11 (and 3.10.7) str() refuses ints past 4300 digits, which a
         # variance denominator reaches near t = 5500; lift the limit for this
@@ -99,12 +110,12 @@ def _rat(x: Fraction) -> str:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
-            return f"{x.numerator}/{x.denominator}"
+            return f"{num}/{den}"
         finally:
             sys.set_int_max_str_digits(limit)
 
 
-def _json_value(x: Fraction | None, digits: int) -> dict | None:
+def _json_value(x: tuple[int, int] | None, digits: int) -> dict | None:
     if x is None:
         return None
     return {"exact": _rat(x), "decimal": to_decimal(x, digits)}
@@ -121,13 +132,13 @@ def dist_json(dist: JointDistribution, report: MomentsReport, digits: int) -> di
             "band_conditional": _json_value(cond_band, digits),
             "bump_conditional": _json_value(cond_bump, digits),
         }
-        for n, band, bump, total, cond_band, cond_bump in _dist_rows(dist, report)
+        for n, band, bump, total, cond_band, cond_bump in _dist_rows(dist)
     ]
     def outcome_block(oc):
         if oc.mean is None:
             return None
         return {
-            "mean": _json_value(oc.mean, digits),
+            "mean": _json_value(_ratio(oc.mean), digits),
             "variance": _rat(oc.variance),
             "sd": oc.sd,
         }
@@ -135,10 +146,10 @@ def dist_json(dist: JointDistribution, report: MomentsReport, digits: int) -> di
         "params": {"m": p.m, "s": p.s, "l": p.l, "u": p.u, "t": p.t, "n_max": p.n_max},
         "digits": digits,
         "rows": rows,
-        "band_marginal": _json_value(report.band.marginal, digits),
-        "bump_marginal": _json_value(report.bump.marginal, digits),
+        "band_marginal": _json_value(_ratio(report.band.marginal), digits),
+        "bump_marginal": _json_value(_ratio(report.bump.marginal), digits),
         "mean_duration": {
-            "overall": _json_value(report.mean, digits),
+            "overall": _json_value(_ratio(report.mean), digits),
             "variance": _rat(report.variance),
             "sd": report.sd,
             "band": outcome_block(report.band),
@@ -167,11 +178,11 @@ def cmd_dist(m: int, s: int, l: int, u: int, digits: int, fmt: str) -> None:
     band, bump = report.band, report.bump
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(("n", "P[N=n, band]", "P[N=n, bump]", "P[N=n]", "P[N=n | band]", "P[N=n | bump]"))
-    writer.writerows((n, *(_cell(x, digits) for x in row)) for n, *row in _dist_rows(dist, report))
+    writer.writerows((n, *(_cell(x, digits) for x in row)) for n, *row in _dist_rows(dist))
     writer.writerows(
         (
-            ("Outcome probabilities", _cell(band.marginal, digits), _cell(bump.marginal, digits), "", "", ""),
-            ("Mean duration", "", "", *(_cell(x, digits) for x in (report.mean, band.mean, bump.mean))),
+            ("Outcome probabilities", *(_cell(_ratio(x.marginal), digits) for x in (band, bump)), "", "", ""),
+            ("Mean duration", "", "", *(_cell(_ratio(x), digits) for x in (report.mean, band.mean, bump.mean))),
             ("Standard deviation", "", "", report.sd, band.sd or "", bump.sd or ""),
         )
     )
@@ -213,7 +224,7 @@ def cmd_verify(
         ran = True
         reference = exhaustive_distribution(params, cap=oracle_cap)
         if dist.matches(reference):
-            click.echo(f"exhaustive: exact match on {len(dist.rows)} rows")
+            click.echo(f"exhaustive: exact match on {len(dist.numerators)} rows")
         else:
             failed = True
             click.echo("exhaustive: MISMATCH")

@@ -8,9 +8,8 @@ either
 * some rank's tally reaches u + 1                   -- a *bump*.
 
 ``joint_distribution`` returns the exact probability of each (stopping draw,
-outcome) pair as rationals, from products of counting generating functions.
-One rank holding x of the cards dealt so far is counted by C(s, x) z**x, so
-with
+outcome) pair from products of counting generating functions.  One rank
+holding x of the cards dealt so far is counted by C(s, x) z**x, so with
 
     A = sum_{x < l} C(s, x) z**x        (below the quota)
     B = sum_{l <= x < u} C(s, x) z**x   (inside the window, below the cap)
@@ -37,10 +36,29 @@ corner has no bump (s - u = 0) and the l = u corner has B = 0; both run
 through the same routine.  Only l = 0, where the deal stops at the first
 card, is special.
 
-Each (n, k) term's weight is evaluated in two algebraically equal
-arrangements and compared exactly; a disagreement raises ConsistencyError,
-as does a failed mass check.  Such an error means the engine itself is wrong
-and must never be swallowed.
+The law is carried as integers.  Both denominators above equal
+n * C(t, n) = t * C(t-1, n-1), and t * C(t-1, k) divides L = lcm(1, ..., t)
+for every k (Farhi, Amer. Math. Monthly 116, 2009), so each cell is an
+integer numerator over the one denominator L.  Fractions are formed only
+where a reader asks for one.
+
+Every row is checked against a second count.  Play is still running after n
+cards exactly when every tally is at most u and some tally is below l
+(tallies only grow, so no earlier stop is possible), so with
+D = sum_{x <= u} C(s, x) z**x and F = D**m - C**m,
+
+    P[N > n] = [z**n] F / C(t, n),
+
+and band(n) + bump(n) = P[N > n-1] - P[N > n] at every draw, which over
+n * C(t, n) reads
+
+    t * C(s-1, l-1) * [z**(n-l)] C**(m-1) + (s-u) * sum_k (...)
+        = (t-n+1) * [z**(n-1)] F - n * [z**n] F.
+
+D**m has its own power chain.  [z**n] F must also equal C(t, n) at the draw
+before the first row and 0 at n_max.  A failure raises ConsistencyError, as
+does a failed mass check.  Such an error
+means the engine itself is wrong and must never be swallowed.
 
 ``bump_summand``, ``coupon_band`` and ``equal_quota`` are the earlier
 per-configuration and boundary-case forms built on hypergeometric rectangle
@@ -52,6 +70,7 @@ recomputation (exhaustive dynamic programming and Monte Carlo in ``oracle``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -126,67 +145,85 @@ def _require_general(params: GameParams) -> None:
 
 @dataclass(frozen=True)
 class JointDistribution:
-    """Joint law over (stopping draw n, outcome), stored as consecutive rows.
+    """Joint law over (stopping draw n, outcome), stored as integer numerators.
 
-    rows holds (n, band mass, bump mass) for every n in the stored span,
-    explicit zeros included.  Masses are exact and must total 1.
+    numerators holds (n, band, bump) for every n in the stored span, explicit
+    zeros included; P[N = n, band] is band / denominator, and likewise for
+    bump.  The numerators need not share a factor with the denominator, so
+    one law has many representations; ``matches`` compares values.  They are
+    non-negative and total exactly the denominator.
     """
 
     params: GameParams
-    rows: tuple[tuple[int, Fraction, Fraction], ...]
+    numerators: tuple[tuple[int, int, int], ...]
+    denominator: int
 
     def __post_init__(self) -> None:
-        if not self.rows:
+        if not self.numerators:
             raise ValueError("a distribution needs at least one row")
-        first = self.rows[0][0]
-        total = Fraction(0)
-        for i, (n, band, bump) in enumerate(self.rows):
+        if self.denominator < 1:
+            raise ValueError(f"denominator must be >= 1, got {self.denominator}")
+        first = self.numerators[0][0]
+        total = 0
+        for i, (n, band, bump) in enumerate(self.numerators):
             if n != first + i:
                 raise ValueError(f"rows must cover consecutive n; gap before n={n}")
             if band < 0 or bump < 0:
                 raise ValueError(f"negative mass at n={n}")
             total += band + bump
-        if total != 1:
-            raise ConsistencyError(f"total mass is {total}, not 1, for {self.params}")
+        if total != self.denominator:
+            raise ConsistencyError(
+                f"total mass is {Fraction(total, self.denominator)}, not 1, for {self.params}"
+            )
 
     @property
     def first_n(self) -> int:
-        return self.rows[0][0]
+        return self.numerators[0][0]
 
     @property
     def last_n(self) -> int:
-        return self.rows[-1][0]
+        return self.numerators[-1][0]
 
-    def band_mass(self, n: int) -> Fraction:
-        if self.first_n <= n <= self.last_n:
-            return self.rows[n - self.first_n][1]
-        return Fraction(0)
+    @property
+    def rows(self) -> tuple[tuple[int, Fraction, Fraction], ...]:
+        """(n, band mass, bump mass) as Fractions, built anew on every read."""
+        d = self.denominator
+        return tuple((n, Fraction(band, d), Fraction(bump, d)) for n, band, bump in self.numerators)
 
-    def bump_mass(self, n: int) -> Fraction:
+    def numerator(self, n: int, outcome: Outcome) -> int:
+        """P[N = n, outcome] times the denominator; 0 outside the stored span."""
         if self.first_n <= n <= self.last_n:
-            return self.rows[n - self.first_n][2]
-        return Fraction(0)
+            return self.numerators[n - self.first_n][1 if outcome is Outcome.BAND else 2]
+        return 0
 
     def mass(self, n: int, outcome: Outcome) -> Fraction:
-        return self.band_mass(n) if outcome is Outcome.BAND else self.bump_mass(n)
+        return Fraction(self.numerator(n, outcome), self.denominator)
+
+    def band_mass(self, n: int) -> Fraction:
+        return self.mass(n, Outcome.BAND)
+
+    def bump_mass(self, n: int) -> Fraction:
+        return self.mass(n, Outcome.BUMP)
 
     @property
     def band_marginal(self) -> Fraction:
-        return sum((r[1] for r in self.rows), Fraction(0))
+        return Fraction(sum(r[1] for r in self.numerators), self.denominator)
 
     @property
     def bump_marginal(self) -> Fraction:
-        return sum((r[2] for r in self.rows), Fraction(0))
+        return Fraction(sum(r[2] for r in self.numerators), self.denominator)
 
     def matches(self, other: JointDistribution) -> bool:
-        """Exact equality of both mass functions (row spans may differ)."""
+        """Exact equality of both mass functions (row spans and denominators may differ)."""
         if self.params != other.params:
             return False
         lo = min(self.first_n, other.first_n)
         hi = max(self.last_n, other.last_n)
+        d, e = self.denominator, other.denominator
         return all(
-            self.band_mass(n) == other.band_mass(n) and self.bump_mass(n) == other.bump_mass(n)
+            self.numerator(n, outcome) * e == other.numerator(n, outcome) * d
             for n in range(lo, hi + 1)
+            for outcome in Outcome
         )
 
 
@@ -297,54 +334,68 @@ def equal_quota(params: GameParams, n: int) -> tuple[Fraction, Fraction]:
 # ==================== assembly ====================
 
 
-def _powers(poly: list[int], top: int, degree: int) -> list[list[int]]:
-    """poly**0 .. poly**top, each truncated at degree."""
-    out = [[1]]
-    for _ in range(top):
-        out.append(truncated_product(out[-1], poly, degree))
+def _coef(poly: list[int], j: int) -> int:
+    return poly[j] if 0 <= j < len(poly) else 0
+
+
+def _power(poly: list[int], e: int, degree: int) -> list[int]:
+    """poly**e truncated at degree."""
+    out = [1]
+    for _ in range(e):
+        out = truncated_product(out, poly, degree)
     return out
 
 
-def _gf_rows(params: GameParams) -> list[tuple[int, Fraction, Fraction]]:
-    """Band and bump rows for l >= 1 from truncated generating-function powers.
+def _gf_rows(params: GameParams) -> tuple[tuple[tuple[int, int, int], ...], int]:
+    """Band and bump numerators for l >= 1 from truncated generating-function powers.
 
-    Row span: n from min(m*l, u+1) through n_max with explicit zeros, so both
-    outcome columns are visible from their earliest possible draw; when
-    u = s no bump exists and the span starts at the first possible band,
-    m*l.
+    Returns the rows and their common denominator lcm(1, ..., t).  Row span:
+    n from min(m*l, u+1) through n_max with explicit zeros, so both outcome
+    columns are visible from their earliest possible draw; when u = s no
+    bump exists and the span starts at the first possible band, m*l.
     """
     m, s, l, u, t = params.m, params.s, params.l, params.u, params.t
     top = params.n_max
-    inside = _powers(window_poly(s, l, u), m - 1, top)[m - 1]
-    below_cap = _powers(window_poly(s, 0, u - 1), m - 1, top)
-    interior = _powers(window_poly(s, l, u - 1), m - 1, top)
-
-    def coef(poly: list[int], j: int) -> int:
-        return poly[j] if 0 <= j < len(poly) else 0
-
-    band_lead = binomial(s - 1, l - 1)
+    window = window_poly(s, l, u)
+    inside = _power(window, m - 1, top)
+    # bump[n] = sum_k C(m, k) * k * C(s, u)**k * (s - u)
+    #                * [z**(n-1-k*u)] ((A + B)**(m-k) - B**(m-k)), over n * C(t, n).
+    # k runs down from m - 1, so each power is one product on the last and
+    # only one power of each polynomial is held.
+    bump = [0] * (top + 1)
     cap_ways = binomial(s, u)
+    below_cap, interior = window_poly(s, 0, u - 1), window_poly(s, l, u - 1)  # A + B, B
+    below_pow, interior_pow = [1], [1]
+    for k in range(m - 1, 0, -1):
+        below_pow = truncated_product(below_pow, below_cap, top)  # (A + B)**(m - k)
+        interior_pow = truncated_product(interior_pow, interior, top)  # B**(m - k)
+        weight = binomial(m, k) * k * cap_ways**k * (s - u)
+        for j in range(top - k * u):
+            bump[1 + k * u + j] += weight * (_coef(below_pow, j) - _coef(interior_pow, j))
+    # [z**n] alive counts the n-card hands after which play is still running:
+    # every tally at most u, less those with every tally inside [l, u].
+    under_cap = _power(window_poly(s, 0, u), m, top)
+    in_window = truncated_product(inside, window, top)
+    alive = [_coef(under_cap, j) - _coef(in_window, j) for j in range(top + 1)]
+
     start = m * l if u == s else min(m * l, u + 1)
+    if alive[top] != 0 or alive[start - 1] != binomial(t, start - 1):
+        raise ConsistencyError(
+            f"survival counts {alive[start - 1]} before draw {start} and {alive[top]} "
+            f"after draw {top} are not C(t, {start - 1}) and 0 for {params}"
+        )
+    band_lead = t * binomial(s - 1, l - 1)
+    denominator = math.lcm(*range(1, t + 1))
     rows = []
     for n in range(start, top + 1):
-        band = Fraction(band_lead * coef(inside, n - l), binomial(t - 1, n - 1))
-        t_prev, t_here = binomial(t, n - 1), binomial(t, n)
-        total = 0
-        for k in range(1, min(m - 1, (n - 1) // u) + 1):
-            ways = binomial(m, k)
-            # The (n, k) weight in its two arrangements, with the common
-            # factor k * (s - u) cancelled: multinomial(m, (k, m - k)) /
-            # ((t - n + 1) * C(t, n - 1)) must equal C(m, k) / (n * C(t, n)).
-            if multinomial(m, (k, m - k)) * n * t_here != ways * (t - n + 1) * t_prev:
-                raise ConsistencyError(
-                    f"combinatorial weight disagreement at {params}, n={n}, k={k}"
-                )
-            j = n - 1 - k * u
-            free = coef(below_cap[m - k], j) - coef(interior[m - k], j)
-            total += ways * k * cap_ways**k * free
-        bump = Fraction((s - u) * total, (t - n + 1) * t_prev)
-        rows.append((n, band, bump))
-    return rows
+        # Numerators over n * C(t, n) = t * C(t - 1, n - 1).
+        band = band_lead * _coef(inside, n - l)
+        # P[N = n] = P[N > n - 1] - P[N > n], with P[N > n] = alive[n] / C(t, n).
+        if band + bump[n] != (t - n + 1) * alive[n - 1] - n * alive[n]:
+            raise ConsistencyError(f"survival identity fails at {params}, n={n}")
+        scale = denominator // (t * binomial(t - 1, n - 1))
+        rows.append((n, band * scale, bump[n] * scale))
+    return tuple(rows), denominator
 
 
 @cache
@@ -356,10 +407,6 @@ def joint_distribution(params: GameParams) -> JointDistribution:
     cannot leave [0, u]).  Every l >= 1 runs through the generating-function
     rows; see ``_gf_rows`` for the row span.
     """
-    one = Fraction(1)
-    zero = Fraction(0)
     if params.l == 0:
-        rows = [(1, zero, one) if params.u == 0 else (1, one, zero)]
-    else:
-        rows = _gf_rows(params)
-    return JointDistribution(params, tuple(rows))
+        return JointDistribution(params, ((1, 0, 1) if params.u == 0 else (1, 1, 0),), 1)
+    return JointDistribution(params, *_gf_rows(params))

@@ -1,9 +1,10 @@
 """Exact combinatorial arithmetic and decimal rendering.
 
 Everything here is integer or rational arithmetic with no floating point.
-Probabilities live as ``fractions.Fraction`` values until the moment they
-are printed; printing is correctly rounded (round half to even) to a fixed
-number of significant figures.
+Probabilities stay exact, as ``fractions.Fraction`` values or as integer
+(numerator, denominator) pairs, until the moment they are printed; printing
+is correctly rounded (round half to even) to a fixed number of significant
+figures.
 """
 
 from __future__ import annotations
@@ -78,19 +79,27 @@ def _place_point(digits: str, e: int) -> str:
     return "0." + "0" * (-e - 1) + digits
 
 
-def to_decimal(x: Fraction | int, sig_figs: int = 6) -> str:
+def to_decimal(x: Fraction | int | tuple[int, int], sig_figs: int = 6) -> str:
     """Render x as a plain decimal string with exactly sig_figs significant figures.
 
-    Rounding is round-half-to-even on the exact rational value, so the output
-    is the correctly rounded decimal.  Exact zero renders as "0".
+    x is a Fraction, an int, or a (numerator, denominator) pair with a
+    positive denominator, which need not be in lowest terms.  Rounding is
+    round-half-to-even on the exact rational value, so the output is the
+    correctly rounded decimal.  Exact zero renders as "0".
     """
     if sig_figs < 1:
         raise ValueError(f"sig_figs must be >= 1, got {sig_figs}")
-    f = Fraction(x)
-    if f == 0:
+    if isinstance(x, tuple):
+        num, den = x
+        if den < 1:
+            raise ValueError(f"denominator must be >= 1, got {den}")
+    else:
+        f = Fraction(x)
+        num, den = f.numerator, f.denominator
+    if num == 0:
         return "0"
-    sign = "-" if f < 0 else ""
-    num, den = abs(f.numerator), f.denominator
+    sign = "-" if num < 0 else ""
+    num = abs(num)
     e = _floor_log10(num, den)
     d = _round_half_even(*_scale(num, den, sig_figs - 1 - e))
     if d == 10**sig_figs:

@@ -21,8 +21,10 @@ depend only on how many ranks hold each tally, so aggregating permutations
 loses nothing, and a draw moves one rank from ``h[v]`` to ``h[v + 1]``.  There
 are at most C(m + u, m) histograms.  Each state carries the integer count of
 ordered deal prefixes (cards told apart) that reach it; every count at draw n
-shares the denominator t (t - 1) ... (t - n + 1), so a probability is formed
-only once per emitted (n, outcome) cell.
+shares the denominator (t)_n = t (t - 1) ... (t - n + 1).  Each emitted
+(n, outcome) cell becomes a numerator over L = lcm(1, ..., t), the
+denominator the formula engine uses, as count * L / (t)_n; that division
+must be exact, and a remainder raises ConsistencyError.
 """
 
 from __future__ import annotations
@@ -55,10 +57,15 @@ def exhaustive_distribution(params: GameParams, cap: int = 16) -> JointDistribut
     # reaches l).  A draw from tally u is a bump, open only when u < s.
     lanes = [(v, s - v, v == l - 1) for v in range(u)]
     bump_left = s - u
-    band: dict[int, Fraction] = {}
-    bump: dict[int, Fraction] = {}
+    # Whether a deal stops at draw n depends only on the set of its first
+    # n - 1 cards and on card n, so a cell's count is (n - 1)! times a count
+    # of such pairs, its probability a multiple of 1 / (t C(t - 1, n - 1)),
+    # and t C(t - 1, n - 1) divides lcm(1, ..., t).  Emit numerators over it.
+    denominator = math.lcm(*range(1, t + 1))
+    band: dict[int, int] = {}
+    bump: dict[int, int] = {}
     alive: dict[tuple[int, ...], int] = {(m,) + (0,) * u: 1}
-    deals = 1  # ordered prefixes of n cards: t (t - 1) ... (t - n + 1)
+    deals = 1  # ordered prefixes of n cards: (t)_n = t (t - 1) ... (t - n + 1)
     for n in range(1, horizon + 1):
         deals *= t - (n - 1)
         nxt: dict[tuple[int, ...], int] = {}
@@ -81,10 +88,14 @@ def exhaustive_distribution(params: GameParams, cap: int = 16) -> JointDistribut
                 nxt[key] = nxt.get(key, 0) + w
                 child[v] = k
                 child[v + 1] -= 1
-        if band_n:
-            band[n] = Fraction(band_n, deals)
-        if bump_n:
-            bump[n] = Fraction(bump_n, deals)
+        for cells, count in ((band, band_n), (bump, bump_n)):
+            if count:
+                cells[n], rest = divmod(count * denominator, deals)
+                if rest:
+                    raise ConsistencyError(
+                        f"mass {count}/{deals} at draw {n} is not a multiple of "
+                        f"1/{denominator} for {params}"
+                    )
         alive = nxt
     if alive:
         leftover = Fraction(sum(alive.values()), deals)
@@ -93,11 +104,8 @@ def exhaustive_distribution(params: GameParams, cap: int = 16) -> JointDistribut
         )
     first = min(band.keys() | bump.keys())
     last = max(band.keys() | bump.keys())
-    rows = tuple(
-        (n, band.get(n, Fraction(0)), bump.get(n, Fraction(0)))
-        for n in range(first, last + 1)
-    )
-    return JointDistribution(params, rows)
+    rows = tuple((n, band.get(n, 0), bump.get(n, 0)) for n in range(first, last + 1))
+    return JointDistribution(params, rows, denominator)
 
 
 @dataclass

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
+from bandorbump.analysis import moments
 from bandorbump.cli import _rat
+from bandorbump.distribution import GameParams, joint_distribution
 
 TIMEOUT = 120
 
@@ -123,6 +126,43 @@ class TestDistJson:
         doc = json.loads(proc.stdout)
         total = sum(Fraction(row["total"]["exact"]) for row in doc["rows"])
         assert total == 1
+
+    def test_exact_strings_are_in_lowest_terms(self):
+        proc = run_cli(
+            "dist", "-m", "4", "-s", "13", "-l", "5", "-u", "8", "--format", "json", check=True
+        )
+        doc = json.loads(proc.stdout)
+        dist = joint_distribution(GameParams(4, 13, 5, 8))
+        report = moments(dist)
+        expected = {}
+        for n, band, bump in dist.rows:
+            expected[n] = {
+                "band": band,
+                "bump": bump,
+                "total": band + bump,
+                "band_conditional": band / dist.band_marginal,
+                "bump_conditional": bump / dist.bump_marginal,
+            }
+        cells = [
+            (row[key]["exact"], value)
+            for row in doc["rows"]
+            for key, value in expected[row["n"]].items()
+        ]
+        cells += [
+            (doc["band_marginal"]["exact"], dist.band_marginal),
+            (doc["bump_marginal"]["exact"], dist.bump_marginal),
+            (doc["mean_duration"]["overall"]["exact"], report.mean),
+            (doc["mean_duration"]["variance"], report.variance),
+            (doc["mean_duration"]["band"]["mean"]["exact"], report.band.mean),
+            (doc["mean_duration"]["band"]["variance"], report.band.variance),
+            (doc["mean_duration"]["bump"]["mean"]["exact"], report.bump.mean),
+            (doc["mean_duration"]["bump"]["variance"], report.bump.variance),
+        ]
+        assert len(cells) == 5 * len(dist.rows) + 8
+        for exact, value in cells:
+            num, den = map(int, exact.split("/"))
+            assert math.gcd(num, den) == 1, exact
+            assert Fraction(num, den) == value, exact
 
     def test_zero_marginal_conditionals_are_null(self):
         proc = run_cli(

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bandorbump import distribution
 from bandorbump.distribution import (
     ConsistencyError,
     GameParams,
@@ -14,6 +15,7 @@ from bandorbump.distribution import (
     bump_summand,
     coupon_band,
     equal_quota,
+    _gf_rows,
     joint_distribution,
 )
 from bandorbump.exactnum import binomial, to_decimal
@@ -65,23 +67,24 @@ class TestGameParams:
 
 class TestJointDistributionContainer:
     def test_gap_rejected(self):
-        rows = ((1, Fraction(1, 2), Fraction(0)), (3, Fraction(1, 2), Fraction(0)))
         with pytest.raises(ValueError):
-            JointDistribution(TINY, rows)
+            JointDistribution(TINY, ((1, 1, 0), (3, 1, 0)), 2)
 
     def test_negative_mass_rejected(self):
-        rows = ((1, Fraction(3, 2), Fraction(-1, 2)),)
         with pytest.raises(ValueError):
-            JointDistribution(TINY, rows)
+            JointDistribution(TINY, ((1, 3, -1),), 2)
 
     def test_total_off_one_rejected(self):
-        rows = ((1, Fraction(1, 2), Fraction(0)),)
         with pytest.raises(ConsistencyError):
-            JointDistribution(TINY, rows)
+            JointDistribution(TINY, ((1, 1, 0),), 2)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            JointDistribution(TINY, ())
+            JointDistribution(TINY, (), 1)
+
+    def test_non_positive_denominator_rejected(self):
+        with pytest.raises(ValueError):
+            JointDistribution(TINY, ((1, 0, 0),), 0)
 
     def test_mass_lookup_zero_fills(self):
         dist = joint_distribution(TINY)
@@ -92,12 +95,39 @@ class TestJointDistributionContainer:
 
     def test_matches_ignores_span_padding(self):
         dist = joint_distribution(TINY)
-        padded = JointDistribution(
-            TINY,
-            ((1, Fraction(0), Fraction(0)),) + dist.rows,
-        )
+        padded = JointDistribution(TINY, ((1, 0, 0),) + dist.numerators, dist.denominator)
         assert dist.matches(padded)
         assert padded.matches(dist)
+        # the same law over three times the denominator
+        scaled = JointDistribution(
+            TINY,
+            ((1, 0, 0),) + tuple((n, 3 * band, 3 * bump) for n, band, bump in dist.numerators),
+            3 * dist.denominator,
+        )
+        assert dist.matches(scaled)
+        assert scaled.matches(dist)
+
+    def test_matches_compares_values_across_denominators(self):
+        dist = joint_distribution(TINY)
+        (n, band, bump), *rest = dist.numerators
+        # move one unit of 1/(2 * denominator) from the band to the bump cell
+        moved = JointDistribution(
+            TINY,
+            ((n, 2 * band - 1, 2 * bump + 1),) + tuple((k, 2 * a, 2 * b) for k, a, b in rest),
+            2 * dist.denominator,
+        )
+        assert not dist.matches(moved)
+        assert not moved.matches(dist)
+
+    @pytest.mark.parametrize("params", [RANK_GAME, SUIT_GAME])
+    def test_rows_view_equals_the_masses(self, params):
+        dist = joint_distribution(params)
+        assert dist.rows == tuple(
+            (n, dist.band_mass(n), dist.bump_mass(n)) for n in range(dist.first_n, dist.last_n + 1)
+        )
+        assert all(isinstance(x, Fraction) for _, *cells in dist.rows for x in cells)
+        with pytest.raises(AttributeError):
+            dist.rows = ()
 
     def test_matches_rejects_other_params(self):
         a = joint_distribution(GameParams(2, 2, 1, 1))
@@ -433,6 +463,41 @@ class TestGeneratingFunctionRows:
             assert dist.band_mass(n) == _band_by_rectangle(p, n), n
         for n in range(4, 9):
             assert dist.bump_mass(n) == _bump_by_summands(p, n), n
+
+
+def _corrupt_window(monkeypatch, lo: int, hi: int, degree: int) -> None:
+    """Add 1 to one coefficient of the engine's window polynomial over [lo, hi]."""
+    real = distribution.window_poly
+
+    def corrupted(rank_size, a, b):
+        poly = real(rank_size, a, b)
+        if (a, b) == (lo, hi):
+            poly[degree] += 1
+        return poly
+
+    monkeypatch.setattr(distribution, "window_poly", corrupted)
+
+
+class TestSurvivalCheck:
+    """Mutants of the engine's polynomials must trip the survival checks."""
+
+    def test_unmutated_engine_passes(self):
+        assert _gf_rows(SUIT_GAME) == (joint_distribution(SUIT_GAME).numerators, math.lcm(*range(1, 53)))
+
+    @pytest.mark.parametrize("params", [TINY, RANK_GAME, SUIT_GAME])
+    def test_corrupt_bump_coefficient_is_caught(self, monkeypatch, params):
+        # the below-cap window [0, u - 1] enters the bump rows only; its
+        # constant term counts the rank left empty beside k = 1 capped ranks
+        # at draw u + 1
+        _corrupt_window(monkeypatch, 0, params.u - 1, 0)
+        with pytest.raises(ConsistencyError, match="survival identity fails"):
+            _gf_rows(params)
+
+    def test_corrupt_survival_counts_are_caught(self, monkeypatch):
+        # the window [0, u] enters only the survival counts
+        _corrupt_window(monkeypatch, 0, SUIT_GAME.u, SUIT_GAME.u)
+        with pytest.raises(ConsistencyError, match="survival counts"):
+            _gf_rows(SUIT_GAME)
 
 
 @st.composite

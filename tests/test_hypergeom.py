@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,17 +10,26 @@ from bandorbump.exactnum import binomial
 from bandorbump.hypergeom import HypergeomSpec, Rectangle, point_prob, rect_count, rect_prob
 
 
-def enumerate_count(dim: int, draws: int, rank_size: int, rect: Rectangle) -> int:
-    """Brute-force oracle: walk every draws-subset of a labeled deck."""
+def subset_tallies(dim: int, draws: int, rank_size: int) -> Counter:
+    """Brute-force oracle: walk every draws-subset of a labeled deck and count
+    the subsets per tally vector."""
     deck = [r for r in range(dim) for _ in range(rank_size)]
-    hits = 0
+    tallies: Counter = Counter()
     for combo in itertools.combinations(range(len(deck)), draws):
         tally = [0] * dim
         for pos in combo:
             tally[deck[pos]] += 1
-        if all(lo <= x <= hi for lo, x, hi in zip(rect.lo, tally, rect.hi)):
-            hits += 1
-    return hits
+        tallies[tuple(tally)] += 1
+    return tallies
+
+
+def enumerate_count(tallies: Counter, rect: Rectangle) -> int:
+    """Subsets whose tally vector lands inside rect."""
+    return sum(
+        count
+        for tally, count in tallies.items()
+        if all(lo <= x <= hi for lo, x, hi in zip(rect.lo, tally, rect.hi))
+    )
 
 
 class TestRectangle:
@@ -99,7 +109,9 @@ class TestRectCount:
                     assert rect_count(spec, full) == binomial(spec_total, draws)
 
     def test_matches_enumeration(self):
-        # independent subset-walk oracle on every rectangle of a small grid
+        # independent subset-walk oracle on every rectangle of a small grid;
+        # the subsets are walked once per (dim, rank_size, draws)
+        checks = 0
         for dim in range(1, 4):
             for rank_size in range(1, 5):
                 bounds = [
@@ -107,15 +119,18 @@ class TestRectCount:
                     for lo in range(0, rank_size + 1)
                     for hi in range(lo, rank_size + 1)
                 ]
-                for rect_bounds in itertools.product(bounds, repeat=dim):
-                    rect = Rectangle(
-                        tuple(b[0] for b in rect_bounds), tuple(b[1] for b in rect_bounds)
-                    )
-                    for draws in range(0, dim * rank_size + 1):
-                        spec = HypergeomSpec(dim, draws, rank_size)
-                        assert rect_count(spec, rect) == enumerate_count(
-                            dim, draws, rank_size, rect
-                        ), (dim, rank_size, rect, draws)
+                for draws in range(0, dim * rank_size + 1):
+                    spec = HypergeomSpec(dim, draws, rank_size)
+                    tallies = subset_tallies(dim, draws, rank_size)
+                    for rect_bounds in itertools.product(bounds, repeat=dim):
+                        rect = Rectangle(
+                            tuple(b[0] for b in rect_bounds), tuple(b[1] for b in rect_bounds)
+                        )
+                        assert rect_count(spec, rect) == enumerate_count(tallies, rect), (
+                            dim, rank_size, rect, draws,
+                        )
+                        checks += 1
+        assert checks == 58566
 
     @given(
         dim=st.integers(min_value=1, max_value=4),

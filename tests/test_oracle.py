@@ -2,10 +2,12 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bandorbump import oracle
 from bandorbump.distribution import (
     ConsistencyError,
     GameParams,
@@ -109,6 +111,14 @@ class TestExhaustive:
         # to 2 draws and that mass must be reported, not dropped
         monkeypatch.setattr(GameParams, "n_max", property(lambda self: 2))
         with pytest.raises(ConsistencyError, match="^2/5 probability mass still alive past draw 2"):
+            exhaustive_distribution(GameParams(2, 3, 1, 2))
+
+
+    def test_count_off_the_shared_denominator_is_an_error(self, monkeypatch):
+        # with 1 as the shared denominator, the 18 of 30 two-card prefixes
+        # that band at draw 2 of (2, 3, 1, 2) leave a remainder
+        monkeypatch.setattr(oracle, "math", SimpleNamespace(lcm=lambda *args: 1))
+        with pytest.raises(ConsistencyError, match="^mass 18/30 at draw 2 is not a multiple of 1/1 "):
             exhaustive_distribution(GameParams(2, 3, 1, 2))
 
 
