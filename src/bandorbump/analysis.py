@@ -7,7 +7,9 @@ rounded decimal string.
 
 The scans sweep parameter grids for structural properties of the law: that
 every term of the bump sum is strictly positive wherever the index ranges
-admit it, and that the per-outcome mass sequences are log-concave.  Band
+admit it, and that the per-outcome mass sequences are log-concave.  The
+non-vacuity scan reads each term's count of deals as one coefficient of a
+product of two generating-function powers, built once per cell.  Band
 log-concavity is a theorem and a violation would mean an engine bug; bump
 log-concavity is an open conjecture, so scan hits there are findings to
 report, not failures.
@@ -26,10 +28,10 @@ from .distribution import (
     Outcome,
     bump_k_range,
     bump_kpp_range,
-    bump_summand,
     joint_distribution,
 )
-from .exactnum import sqrt_decimal
+from .exactnum import binomial, sqrt_decimal
+from .hypergeom import truncated_product, window_poly
 
 
 # ==================== moments ====================
@@ -212,6 +214,19 @@ def _general_grid(m_range: tuple[int, int], s_range: tuple[int, int]):
                     yield GameParams(m, s, l, u)
 
 
+def _powers(poly: list[int], count: int, degree: int) -> list[list[int]]:
+    """poly**0 through poly**(count - 1), each truncated at degree."""
+    out = [[1]]
+    for _ in range(count - 1):
+        out.append(truncated_product(out[-1], poly, degree))
+    return out
+
+
+def _product_coef(a: list[int], b: list[int], j: int) -> int:
+    """[z**j] of the product of the coefficient lists a and b."""
+    return sum(a[i] * b[j - i] for i in range(max(0, j - len(b) + 1), min(len(a), j + 1)))
+
+
 def nonvacuity_scan(
     m_range: tuple[int, int] = (2, 8), s_range: tuple[int, int] = (2, 8)
 ) -> ScanReport:
@@ -219,35 +234,39 @@ def nonvacuity_scan(
 
     For every general-case cell on the grid, every draw n in the bump
     support, and every admissible k, the k'' window must be non-empty and
-    every summand strictly positive.
+    every summand strictly positive.  A summand's weight
+    k * C(m, k) * C(s, u)**k * (s - u) / (n * C(t, n)) is positive for every
+    k >= 1, so its sign is that of its count of deals,
+    C(m - k, k'') * [z**j] (A**(m-k-k'') * B**k''), with j = n - 1 - k*u and
+    A, B one rank's counting polynomials over [0, l - 1] and [l, u - 1].
     """
     cells = 0
     checks = 0
     findings: list[Finding] = []
     for p in _general_grid(m_range, s_range):
         cells += 1
-        for n in range(p.u + 1, p.n_max + 1):
+        m, s, l, u = p.m, p.s, p.l, p.u
+        degree = p.n_max - 1 - u  # largest j, at n = n_max and k = 1
+        below = _powers(window_poly(s, 0, l - 1), m, degree)  # A**0 .. A**(m-1)
+        interior = _powers(window_poly(s, l, u - 1), m, degree)  # B**0 .. B**(m-1)
+        for n in range(u + 1, p.n_max + 1):
             k_lo, k_hi = bump_k_range(p, n)
             if k_lo > k_hi:
-                findings.append(
-                    Finding(p.m, p.s, p.l, p.u, n, None, None, "empty capped-rank range")
-                )
+                findings.append(Finding(m, s, l, u, n, None, None, "empty capped-rank range"))
                 continue
             for k in range(k_lo, k_hi + 1):
                 checks += 1
                 try:
                     kpp_lo, kpp_hi = bump_kpp_range(p, n, k)
                 except ConsistencyError:
-                    findings.append(
-                        Finding(p.m, p.s, p.l, p.u, n, k, None, "empty interior-rank window")
-                    )
+                    findings.append(Finding(m, s, l, u, n, k, None, "empty interior-rank window"))
                     continue
+                j = n - 1 - k * u
                 for kpp in range(kpp_lo, kpp_hi + 1):
                     checks += 1
-                    if bump_summand(p, n, k, kpp) <= 0:
-                        findings.append(
-                            Finding(p.m, p.s, p.l, p.u, n, k, kpp, "non-positive summand")
-                        )
+                    count = _product_coef(below[m - k - kpp], interior[kpp], j)
+                    if binomial(m - k, kpp) * count <= 0:
+                        findings.append(Finding(m, s, l, u, n, k, kpp, "non-positive summand"))
     return ScanReport("nonvacuity", m_range, s_range, cells, checks, tuple(findings))
 
 

@@ -60,12 +60,15 @@ before the first row and 0 at n_max.  A failure raises ConsistencyError, as
 does a failed mass check.  Such an error
 means the engine itself is wrong and must never be swallowed.
 
-``bump_summand``, ``coupon_band`` and ``equal_quota`` are the earlier
-per-configuration and boundary-case forms built on hypergeometric rectangle
-counts.  They are kept as reference routines that tests compare the
-generating-function rows against, and the non-vacuity scan inspects each
-bump summand.  Closed forms here are also validated against independent
-recomputation (exhaustive dynamic programming and Monte Carlo in ``oracle``).
+The paper writes the bump mass instead as a sum over configurations: k ranks
+at the cap, k'' inside [l, u - 1] and the rest below l, each term a
+rectangle probability of the hypergeometric tallies.  ``bump_k_range`` and
+``bump_kpp_range`` are its claims on which (k, k'') can occur; the
+non-vacuity scan in ``analysis`` tests them.  The rectangle forms themselves,
+with the u = s and l = u boundary cases, serve tests only: they live in
+``tests/reference.py``, and the tests hold every row equal to them.  The rows
+are also validated against independent recomputation (exhaustive dynamic
+programming and Monte Carlo in ``oracle``).
 """
 
 from __future__ import annotations
@@ -76,15 +79,8 @@ from enum import Enum
 from fractions import Fraction
 from functools import cache
 
-from .exactnum import binomial, multinomial
-from .hypergeom import (
-    HypergeomSpec,
-    Rectangle,
-    rect_count,
-    rect_prob,
-    truncated_product,
-    window_poly,
-)
+from .exactnum import binomial
+from .hypergeom import truncated_product, window_poly
 
 
 class ConsistencyError(RuntimeError):
@@ -227,7 +223,7 @@ class JointDistribution:
         )
 
 
-# ==================== reference forms ====================
+# ==================== bump index ranges ====================
 
 
 def bump_k_range(params: GameParams, n: int) -> tuple[int, int]:
@@ -266,69 +262,6 @@ def bump_kpp_range(params: GameParams, n: int, k: int) -> tuple[int, int]:
             f"[{kpp_lo}, {kpp_hi}] should be non-empty"
         )
     return kpp_lo, kpp_hi
-
-
-def bump_summand(params: GameParams, n: int, k: int, kpp: int) -> Fraction:
-    """One (k, k'') term of the bump mass at draw n.
-
-    k ranks sit at the cap u after n - 1 deals, k'' sit strictly inside
-    [l, u - 1], the remaining k' = m - k - kpp sit below l, and the nth card
-    pushes one capped rank over.  The combinatorial weight is evaluated both
-    as the raw multinomial arrangement and in its reduced form; the two must
-    agree exactly.
-    """
-    m, s, l, u, t = params.m, params.s, params.l, params.u, params.t
-    kp = m - k - kpp
-    n_k = n - 1 - k * u
-    rect = Rectangle((0,) * kp + (l,) * kpp, (l - 1,) * kp + (u - 1,) * kpp)
-    count = rect_count(HypergeomSpec(m - k, n_k, s), rect)
-    weight = Fraction(multinomial(m, (k, kp, kpp)) * k * (s - u), t - n + 1) / binomial(t, n - 1)
-    reduced = Fraction(binomial(m, k) * binomial(m - k, kpp) * k * (s - u), n) / binomial(t, n)
-    if weight != reduced:
-        raise ConsistencyError(
-            f"combinatorial weight disagreement at {params}, n={n}, k={k}, kpp={kpp}: "
-            f"{weight} vs {reduced}"
-        )
-    return weight * binomial(s, u) ** k * count
-
-
-def coupon_band(params: GameParams, n: int) -> Fraction:
-    """P[stop at draw n], u = s case: a bump is impossible.
-
-    With the cap at s every tally stays inside [0, s], so the deal is a pure
-    collection race ending when the last rank reaches l.  The stopping mass
-    is the increment of P[every tally >= l after n cards].
-    """
-    if params.u != params.s or params.l < 1:
-        raise ValueError(f"coupon_band needs 0 < l <= u = s, got {params}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    box = Rectangle.cube(params.m, params.l, params.s)
-    here = rect_prob(HypergeomSpec(params.m, n, params.s), box)
-    prev = rect_prob(HypergeomSpec(params.m, n - 1, params.s), box)
-    return here - prev
-
-
-def equal_quota(params: GameParams, n: int) -> tuple[Fraction, Fraction]:
-    """(band mass, bump mass) at draw n for the 0 < l = u < s case.
-
-    A band needs every tally to equal u simultaneously, which can only
-    happen when the deck is dealt out to exactly n = m * u cards with no rank
-    ever passing u; any earlier stop is a bump.  The bump mass at n is the
-    decrement of P[no tally has passed u after n cards].
-    """
-    if not (0 < params.l == params.u < params.s):
-        raise ValueError(f"equal_quota needs 0 < l = u < s, got {params}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    last = params.m * params.u
-    if n > last:
-        return Fraction(0), Fraction(0)
-    box = Rectangle.cube(params.m, 0, params.u)
-    here = rect_prob(HypergeomSpec(params.m, n, params.s), box)
-    prev = rect_prob(HypergeomSpec(params.m, n - 1, params.s), box)
-    band = here if n == last else Fraction(0)
-    return band, prev - here
 
 
 # ==================== assembly ====================

@@ -22,22 +22,6 @@ def binomial(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
-def multinomial(n: int, parts: list[int] | tuple[int, ...]) -> int:
-    """n! / (parts[0]! * parts[1]! * ...) for non-negative parts summing to n."""
-    if n < 0:
-        raise ValueError(f"multinomial requires n >= 0, got {n}")
-    if any(p < 0 for p in parts):
-        raise ValueError(f"multinomial parts must be non-negative, got {list(parts)}")
-    if sum(parts) != n:
-        raise ValueError(f"multinomial parts {list(parts)} do not sum to {n}")
-    out = 1
-    remaining = n
-    for p in parts:
-        out *= binomial(remaining, p)
-        remaining -= p
-    return out
-
-
 # log10(2) truncated to 42 decimals.  The floor in _floor_log10 is taken of
 # (d + 1) * log10(2) for a bit-length difference d; an error below 1e-42 moves
 # it only if that product lies within |d + 1| * 1e-42 of an integer, which no

@@ -1,0 +1,198 @@
+"""The stopping law in the paper's own terms, for tests to compare against.
+
+The paper states the law through rectangle events of central multivariate
+hypergeometric tallies: deal ``draws`` cards from a deck of
+``dim * rank_size`` cards holding ``rank_size`` cards of each of ``dim``
+ranks, and ask that every coordinate j of the tally vector land inside
+[lo_j, hi_j].  The number of such deals is the coefficient of z**draws in the
+product over coordinates of sum_{x=lo_j}^{hi_j} C(rank_size, x) * z**x,
+expanded once per rectangle shape with exact integer convolution and cached.
+
+On top of those counts sit the per-configuration bump summand, the pinned
+last-card chance, and the two boundary cases u = s (no bump) and l = u (a
+band only at the last possible draw).  The engine in ``bandorbump`` builds
+every row from generating-function powers instead; the tests hold its rows
+equal to these forms.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+
+from bandorbump.distribution import GameParams
+from bandorbump.exactnum import binomial
+from bandorbump.hypergeom import truncated_product, window_poly
+
+
+def multinomial(n: int, parts: list[int] | tuple[int, ...]) -> int:
+    """n! / (parts[0]! * parts[1]! * ...) for non-negative parts summing to n."""
+    if n < 0:
+        raise ValueError(f"multinomial requires n >= 0, got {n}")
+    if any(p < 0 for p in parts):
+        raise ValueError(f"multinomial parts must be non-negative, got {list(parts)}")
+    if sum(parts) != n:
+        raise ValueError(f"multinomial parts {list(parts)} do not sum to {n}")
+    out = 1
+    remaining = n
+    for p in parts:
+        out *= binomial(remaining, p)
+        remaining -= p
+    return out
+
+
+# ==================== rectangle events ====================
+
+
+@dataclass(frozen=True)
+class HypergeomSpec:
+    """Equal-group multivariate hypergeometric: dim ranks, rank_size cards each."""
+
+    dim: int
+    draws: int
+    rank_size: int
+
+    def __post_init__(self) -> None:
+        if self.dim < 0:
+            raise ValueError(f"dim must be >= 0, got {self.dim}")
+        if self.rank_size < 1:
+            raise ValueError(f"rank_size must be >= 1, got {self.rank_size}")
+        if self.draws < 0:
+            raise ValueError(f"draws must be >= 0, got {self.draws}")
+
+    @property
+    def total(self) -> int:
+        return self.dim * self.rank_size
+
+
+@dataclass(frozen=True)
+class Rectangle:
+    """Axis-aligned box of per-coordinate tally bounds, inclusive on both ends."""
+
+    lo: tuple[int, ...]
+    hi: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.lo) != len(self.hi):
+            raise ValueError(f"bound lengths differ: {len(self.lo)} vs {len(self.hi)}")
+        for j, (a, b) in enumerate(zip(self.lo, self.hi)):
+            if a < 0 or a > b:
+                raise ValueError(f"coordinate {j} has invalid bounds [{a}, {b}]")
+
+    @property
+    def dim(self) -> int:
+        return len(self.lo)
+
+    @classmethod
+    def cube(cls, dim: int, lo: int, hi: int) -> Rectangle:
+        """The same [lo, hi] bound on every one of dim coordinates."""
+        return cls((lo,) * dim, (hi,) * dim)
+
+
+@lru_cache(maxsize=None)
+def _rect_poly(rank_size: int, lo: tuple[int, ...], hi: tuple[int, ...]) -> tuple[int, ...]:
+    poly = [1]
+    for lo_j, hi_j in zip(lo, hi):
+        poly = truncated_product(poly, window_poly(rank_size, lo_j, hi_j), rank_size * len(lo))
+    return tuple(poly)
+
+
+def rect_count(spec: HypergeomSpec, rect: Rectangle) -> int:
+    """Number of deals whose tally vector lands inside rect.
+
+    Returns 0 whenever draws is infeasible for the rectangle (including
+    draws beyond the deck).  A zero-dimensional spec counts the single empty
+    deal, so it contributes 1 when draws == 0 and 0 otherwise.
+    """
+    if rect.dim != spec.dim:
+        raise ValueError(f"rectangle dim {rect.dim} != spec dim {spec.dim}")
+    poly = _rect_poly(spec.rank_size, rect.lo, rect.hi)
+    return poly[spec.draws] if spec.draws < len(poly) else 0
+
+
+def rect_prob(spec: HypergeomSpec, rect: Rectangle) -> Fraction:
+    """Exact probability of the rectangle event under the spec's deal."""
+    count = rect_count(spec, rect)
+    denom = binomial(spec.total, spec.draws)
+    if denom == 0:
+        return Fraction(0)
+    return Fraction(count, denom)
+
+
+def point_prob(n: int, s: int, t: int, l: int) -> Fraction:
+    """Chance a designated rank supplies exactly l - 1 of the first n - 1 cards.
+
+    The deck has t = m * s cards, s per rank, and one card of the designated
+    rank is pinned as the nth deal; the remaining s - 1 cards of that rank are
+    hypergeometric among the other n - 1 positions.  Equals
+    C(s-1, l-1) * C(t-s, n-l) / C(t-1, n-1).
+    """
+    if s < 1:
+        raise ValueError(f"s must be >= 1, got {s}")
+    if t < s or t % s != 0:
+        raise ValueError(f"t must be a positive multiple of s, got t={t}, s={s}")
+    if l < 1:
+        raise ValueError(f"l must be >= 1, got {l}")
+    if n < 1 or n > t:
+        raise ValueError(f"n must be in [1, {t}], got {n}")
+    return Fraction(binomial(s - 1, l - 1) * binomial(t - s, n - l), binomial(t - 1, n - 1))
+
+
+# ==================== the law, term by term ====================
+
+
+def bump_summand(params: GameParams, n: int, k: int, kpp: int) -> Fraction:
+    """One (k, k'') term of the bump mass at draw n.
+
+    k ranks sit at the cap u after n - 1 deals, k'' sit strictly inside
+    [l, u - 1], the remaining k' = m - k - kpp sit below l, and the nth card
+    pushes one capped rank over.  The weight is the multinomial arrangement
+    of the three groups over (t - n + 1) * C(t, n - 1).
+    """
+    m, s, l, u, t = params.m, params.s, params.l, params.u, params.t
+    kp = m - k - kpp
+    n_k = n - 1 - k * u
+    rect = Rectangle((0,) * kp + (l,) * kpp, (l - 1,) * kp + (u - 1,) * kpp)
+    count = rect_count(HypergeomSpec(m - k, n_k, s), rect)
+    weight = Fraction(multinomial(m, (k, kp, kpp)) * k * (s - u), t - n + 1) / binomial(t, n - 1)
+    return weight * binomial(s, u) ** k * count
+
+
+def coupon_band(params: GameParams, n: int) -> Fraction:
+    """P[stop at draw n], u = s case: a bump is impossible.
+
+    With the cap at s every tally stays inside [0, s], so the deal is a pure
+    collection race ending when the last rank reaches l.  The stopping mass
+    is the increment of P[every tally >= l after n cards].
+    """
+    if params.u != params.s or params.l < 1:
+        raise ValueError(f"coupon_band needs 0 < l <= u = s, got {params}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    box = Rectangle.cube(params.m, params.l, params.s)
+    here = rect_prob(HypergeomSpec(params.m, n, params.s), box)
+    prev = rect_prob(HypergeomSpec(params.m, n - 1, params.s), box)
+    return here - prev
+
+
+def equal_quota(params: GameParams, n: int) -> tuple[Fraction, Fraction]:
+    """(band mass, bump mass) at draw n for the 0 < l = u < s case.
+
+    A band needs every tally to equal u simultaneously, which can only
+    happen when the deck is dealt out to exactly n = m * u cards with no rank
+    ever passing u; any earlier stop is a bump.  The bump mass at n is the
+    decrement of P[no tally has passed u after n cards].
+    """
+    if not (0 < params.l == params.u < params.s):
+        raise ValueError(f"equal_quota needs 0 < l = u < s, got {params}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    last = params.m * params.u
+    if n > last:
+        return Fraction(0), Fraction(0)
+    box = Rectangle.cube(params.m, 0, params.u)
+    here = rect_prob(HypergeomSpec(params.m, n, params.s), box)
+    prev = rect_prob(HypergeomSpec(params.m, n - 1, params.s), box)
+    band = here if n == last else Fraction(0)
+    return band, prev - here

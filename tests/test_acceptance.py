@@ -24,9 +24,9 @@ from bandorbump.analysis import (
     payoff_ev,
 )
 from bandorbump.distribution import GameParams, joint_distribution
-from bandorbump.exactnum import binomial, multinomial, to_decimal
-from bandorbump.hypergeom import point_prob
+from bandorbump.exactnum import binomial, to_decimal
 from bandorbump.oracle import compare, exhaustive_distribution, simulate
+from reference import multinomial, point_prob
 
 SUIT_GAME = GameParams(4, 13, 5, 8)
 RANK_GAME = GameParams(13, 4, 1, 3)

@@ -1,8 +1,11 @@
+import json
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+from bandorbump import analysis, cli
 from bandorbump.analysis import (
     Finding,
     LogConcavityResult,
@@ -15,7 +18,7 @@ from bandorbump.analysis import (
     nonvacuity_scan,
     payoff_ev,
 )
-from bandorbump.distribution import GameParams, joint_distribution
+from bandorbump.distribution import ConsistencyError, GameParams, joint_distribution
 from bandorbump.exactnum import to_decimal
 
 SUIT_GAME = GameParams(4, 13, 5, 8)
@@ -206,6 +209,12 @@ class TestScans:
         assert report.cells == expected_cells
         assert report.checks > report.cells
 
+    def test_nonvacuity_grid_to_twelve(self):
+        report = nonvacuity_scan((2, 12), (2, 12))
+        assert report.cells == 2420
+        assert report.checks == 1225730
+        assert report.ok
+
     def test_nonvacuity_rank_game_cell(self):
         report = nonvacuity_scan((13, 13), (4, 4))
         assert report.ok
@@ -253,3 +262,56 @@ class TestScans:
         assert d["findings"] == [
             {"m": 2, "s": 3, "l": 1, "u": 2, "n": 3, "k": 1, "kpp": None, "note": "demo"}
         ]
+
+
+def widen_kpp_window(monkeypatch):
+    """Make analysis.bump_kpp_range start one k'' below every window that starts above 0."""
+    real = analysis.bump_kpp_range
+
+    def widened(params, n, k):
+        lo, hi = real(params, n, k)
+        return (lo - 1, hi) if lo > 0 else (lo, hi)
+
+    monkeypatch.setattr(analysis, "bump_kpp_range", widened)
+    return real
+
+
+class TestNonvacuityMutants:
+    """Index ranges that claim too much must surface as scan findings."""
+
+    def test_widened_kpp_window_reports_every_extra_summand(self, monkeypatch):
+        real = widen_kpp_window(monkeypatch)
+        report = nonvacuity_scan((2, 4), (2, 6))
+        assert not report.ok
+        assert len(report.findings) == 140
+        for f in report.findings:
+            assert f.note == "non-positive summand"
+            p = GameParams(f.m, f.s, f.l, f.u)
+            assert f.kpp == real(p, f.n, f.k)[0] - 1, f
+
+    def test_consistency_error_is_an_empty_window_finding(self, monkeypatch):
+        real = analysis.bump_kpp_range
+        broken = (GameParams(3, 5, 1, 3), 5, 1)
+
+        def raising(params, n, k):
+            if (params, n, k) == broken:
+                raise ConsistencyError("forced")
+            return real(params, n, k)
+
+        monkeypatch.setattr(analysis, "bump_kpp_range", raising)
+        report = nonvacuity_scan((2, 4), (2, 6))
+        assert report.findings == (Finding(3, 5, 1, 3, 5, 1, None, "empty interior-rank window"),)
+
+    def test_empty_k_range_is_a_finding(self, monkeypatch):
+        monkeypatch.setattr(analysis, "bump_k_range", lambda params, n: (1, 0))
+        report = nonvacuity_scan((2, 2), (3, 3))
+        # the one cell (2, 3, 1, 2) has bump support n = 3 only
+        assert report.findings == (Finding(2, 3, 1, 2, 3, None, None, "empty capped-rank range"),)
+
+    def test_cli_scan_exits_one_on_findings(self, monkeypatch):
+        widen_kpp_window(monkeypatch)
+        result = CliRunner().invoke(cli.main, ["scan", "nonvacuity", "--m-max", "4", "--s-max", "6"])
+        assert result.exit_code == 1
+        summary, _, rest = result.output.partition("\n")
+        assert summary == "nonvacuity: 60 parameter cells, 1050 checks, 140 counterexamples"
+        assert json.loads(rest)["ok"] is False

@@ -1,5 +1,5 @@
 import bandorbump
-from bandorbump import distribution
+from bandorbump import distribution, exactnum, hypergeom
 
 SUPPORTED = [
     "CellCheck",
@@ -38,3 +38,21 @@ def test_top_level_api_is_pinned():
         assert getattr(bandorbump, name) is not None, name
     for gone in ("band_joint", "bump_joint", "bump_index_range", "BumpIndexRange", "KppBounds"):
         assert not hasattr(distribution, gone), gone
+
+
+def test_reference_forms_live_in_the_tests():
+    # The paper's rectangle forms serve tests only and are kept in
+    # tests/reference.py; the package counts deals one way, by
+    # generating-function products.
+    for gone in ("bump_summand", "coupon_band", "equal_quota", "multinomial"):
+        assert not hasattr(distribution, gone), gone
+    for gone in ("HypergeomSpec", "Rectangle", "_rect_poly", "rect_count", "rect_prob", "point_prob"):
+        assert not hasattr(hypergeom, gone), gone
+        assert not hasattr(distribution, gone), gone
+    assert not hasattr(exactnum, "multinomial")
+
+
+def test_hypergeom_keeps_the_polynomial_helpers():
+    # The benchmark's span recorder imports this module by name.
+    assert hypergeom.window_poly(3, 1, 2) == [0, 3, 3]
+    assert hypergeom.truncated_product([1, 1], [1, 1], 1) == [1, 2]

