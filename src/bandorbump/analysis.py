@@ -6,8 +6,9 @@ standard deviation (an irrational square root) is delivered as a correctly
 rounded decimal string.
 
 The scans sweep parameter grids for structural properties of the law: that
-every term of the bump sum is strictly positive wherever the index ranges
-admit it, and that the per-outcome mass sequences are log-concave.  The
+every term of the paper's bump sum is strictly positive wherever its index
+ranges (``bump_k_range``, ``bump_kpp_range``) admit it, and that the
+per-outcome mass sequences are log-concave.  The
 non-vacuity scan reads each term's count of deals as one coefficient of a
 product of two generating-function powers, built once per cell.  Band
 log-concavity is a theorem and a violation would mean an engine bug; bump
@@ -17,7 +18,7 @@ report, not failures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -26,8 +27,6 @@ from .distribution import (
     GameParams,
     JointDistribution,
     Outcome,
-    bump_k_range,
-    bump_kpp_range,
     joint_distribution,
 )
 from .exactnum import binomial, sqrt_decimal
@@ -118,9 +117,7 @@ class PayoffSpec:
 
 def payoff_ev(dist: JointDistribution, payoff: PayoffSpec) -> Fraction:
     """Exact expected payoff of one deal."""
-    band = sum(r[1] for r in dist.numerators)
-    bump = sum(r[2] for r in dist.numerators)
-    return (payoff.band * band + payoff.bump * bump) / dist.denominator
+    return payoff.band * dist.band_marginal + payoff.bump * dist.bump_marginal
 
 
 # ==================== log-concavity ====================
@@ -189,21 +186,55 @@ class ScanReport:
             "s_range": list(self.s_range),
             "cells": self.cells,
             "checks": self.checks,
-            "findings": [
-                {
-                    "m": f.m,
-                    "s": f.s,
-                    "l": f.l,
-                    "u": f.u,
-                    "n": f.n,
-                    "k": f.k,
-                    "kpp": f.kpp,
-                    "note": f.note,
-                }
-                for f in self.findings
-            ],
+            "findings": [asdict(f) for f in self.findings],
             "ok": self.ok,
         }
+
+
+def _require_general(params: GameParams) -> None:
+    if not params.is_general:
+        raise ValueError(
+            f"parameters l={params.l}, u={params.u}, s={params.s} are a boundary "
+            "configuration; use joint_distribution, which covers it"
+        )
+
+
+def bump_k_range(params: GameParams, n: int) -> tuple[int, int]:
+    """Admissible count k of capped ranks for a bump at draw n.
+
+    Returns (k_lo, k_hi); an empty range (k_lo > k_hi) signals that no
+    configuration exists at this n, it is not an error.
+    """
+    _require_general(params)
+    k_lo = max(1, n - (params.l + (params.m - 1) * (params.u - 1)))
+    k_hi = (n - 1) // params.u
+    return k_lo, k_hi
+
+
+def bump_kpp_range(params: GameParams, n: int, k: int) -> tuple[int, int]:
+    """Admissible count k'' of interior ranks, given k capped ranks at draw n.
+
+    For every n and k accepted by bump_k_range this window is provably
+    non-empty; if the bounds ever cross, the engine is inconsistent and
+    ConsistencyError is raised.
+    """
+    _require_general(params)
+    m, l, u = params.m, params.l, params.u
+    if not (u + 1 <= n <= params.n_max):
+        raise ValueError(f"n={n} outside bump support [{u + 1}, {params.n_max}]")
+    k_lo, k_hi = bump_k_range(params, n)
+    if not (k_lo <= k <= k_hi):
+        raise ValueError(f"k={k} outside admissible range [{k_lo}, {k_hi}] at n={n}")
+    n_k = n - 1 - k * u
+    num = n_k - (m - k) * (l - 1)
+    kpp_lo = max(0, -((-num) // (u - l)))
+    kpp_hi = min(n_k // l, m - k - 1)
+    if kpp_lo > kpp_hi:
+        raise ConsistencyError(
+            f"empty interior-rank window at {params}, n={n}, k={k}: "
+            f"[{kpp_lo}, {kpp_hi}] should be non-empty"
+        )
+    return kpp_lo, kpp_hi
 
 
 def _general_grid(m_range: tuple[int, int], s_range: tuple[int, int]):

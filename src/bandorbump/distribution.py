@@ -11,64 +11,66 @@ either
 outcome) pair from products of counting generating functions.  One rank
 holding x of the cards dealt so far is counted by C(s, x) z**x, so with
 
-    A = sum_{x < l} C(s, x) z**x        (below the quota)
-    B = sum_{l <= x < u} C(s, x) z**x   (inside the window, below the cap)
     C = sum_{l <= x <= u} C(s, x) z**x  (inside the window)
+    D = sum_{x <= u} C(s, x) z**x       (at most the cap)
 
 the number of deals of j cards whose tallies satisfy a per-rank condition is
-the coefficient [z**j] of the product of the ranks' polynomials.  Conditioning
-on the rank of the last card dealt gives, for every l >= 1,
+the coefficient [z**j] of the product of the ranks' polynomials.  Play is
+still running after j cards exactly when every tally is at most u and some
+tally is below l (tallies only grow, so no earlier stop is possible).
+Conditioning on the rank of the last card dealt gives, for every l >= 1 and
+over n * C(t, n) = t * C(t-1, n-1),
 
-    band(n) = C(s-1, l-1) * [z**(n-l)] C**(m-1) / C(t-1, n-1)
+    band(n) = t * C(s-1, l-1) * [z**(n-l)] C**(m-1)
 
 (the last card lifts one rank from l - 1 to l while the other m - 1 already
 sit inside the window) and
 
-    bump(n) = (s-u) / ((t-n+1) * C(t, n-1))
-              * sum_k C(m, k) * k * C(s, u)**k
-                      * [z**(n-1-k*u)] ((A + B)**(m-k) - B**(m-k))
+    bump(n) = m * C(s, u) * (s-u) * [z**(n-1-u)] (D**(m-1) - C**(m-1))
 
-(k ranks sit at the cap u and the last card pushes one of them over; the
-other m - k ranks are all below the cap and at least one is below the quota,
-which is the difference of the two powers).  Every power is a truncated
-polynomial product, so one parameter set costs O(m) products.  The u = s
-corner has no bump (s - u = 0) and the l = u corner has B = 0; both run
-through the same routine.  Only l = 0, where the deal stops at the first
-card, is special.
+(the last card's rank held u of its s cards and the last card is one of the
+s - u left; the other m - 1 ranks are all at most u and not all inside the
+window, or play would already have stopped on a band).  Each power is a
+truncated polynomial product, so one parameter set costs O(m) products.  The
+u = s corner (no bump, as s - u = 0) and the l = u corner run through the
+same routine.  Only l = 0, where the deal stops at the first card, is
+special.
 
-The law is carried as integers.  Both denominators above equal
-n * C(t, n) = t * C(t-1, n-1), and t * C(t-1, k) divides L = lcm(1, ..., t)
+The law is carried as integers.  t * C(t-1, k) divides L = lcm(1, ..., t)
 for every k (Farhi, Amer. Math. Monthly 116, 2009), so each cell is an
 integer numerator over the one denominator L.  Fractions are formed only
 where a reader asks for one.
 
-Every row is checked against a second count.  Play is still running after n
-cards exactly when every tally is at most u and some tally is below l
-(tallies only grow, so no earlier stop is possible), so with
-D = sum_{x <= u} C(s, x) z**x and F = D**m - C**m,
+Every row is checked against a second count.  With F = D**m - C**m,
 
     P[N > n] = [z**n] F / C(t, n),
 
 and band(n) + bump(n) = P[N > n-1] - P[N > n] at every draw, which over
 n * C(t, n) reads
 
-    t * C(s-1, l-1) * [z**(n-l)] C**(m-1) + (s-u) * sum_k (...)
-        = (t-n+1) * [z**(n-1)] F - n * [z**n] F.
+    band(n) + bump(n) = (t-n+1) * [z**(n-1)] F - n * [z**n] F.
 
-D**m has its own power chain.  [z**n] F must also equal C(t, n) at the draw
-before the first row and 0 at n_max.  A failure raises ConsistencyError, as
-does a failed mass check.  Such an error
-means the engine itself is wrong and must never be swallowed.
+D**m and C**m are each one product past the (m-1)-th powers the rows read.
+[z**n] F must also equal C(t, n) at the draw before the first row and 0 at
+n_max.  A failure raises ConsistencyError, as does a failed mass check.
+Such an error means the engine itself is wrong and must never be swallowed.
 
-The paper writes the bump mass instead as a sum over configurations: k ranks
-at the cap, k'' inside [l, u - 1] and the rest below l, each term a
-rectangle probability of the hypergeometric tallies.  ``bump_k_range`` and
-``bump_kpp_range`` are its claims on which (k, k'') can occur; the
-non-vacuity scan in ``analysis`` tests them.  The rectangle forms themselves,
-with the u = s and l = u boundary cases, serve tests only: they live in
-``tests/reference.py``, and the tests hold every row equal to them.  The rows
-are also validated against independent recomputation (exhaustive dynamic
-programming and Monte Carlo in ``oracle``).
+The paper writes the bump mass as a sum over the number k of ranks at the
+cap; with A and B one rank's polynomials over [0, l-1] and [l, u-1],
+
+    bump(n) = (s-u) * sum_k C(m, k) * k * C(s, u)**k
+                      * [z**(n-1-k*u)] ((A + B)**(m-k) - B**(m-k)),
+
+which sum_k C(m, k) * k * x**k * y**(m-k) = m * x * (x + y)**(m-1) collapses
+to the last-card form.  Splitting further by the number k'' of ranks inside
+[l, u - 1] makes each term a rectangle probability of the hypergeometric
+tallies; ``analysis.bump_k_range`` and ``analysis.bump_kpp_range`` are the
+paper's claims on which (k, k'') can occur, and the non-vacuity scan tests
+them.  The rectangle forms themselves, with the u = s and l = u boundary
+cases, serve tests only: they live in ``tests/reference.py``, and the tests
+hold every row equal to them.  The rows are also validated against
+independent recomputation (exhaustive dynamic programming and Monte Carlo
+in ``oracle``).
 """
 
 from __future__ import annotations
@@ -129,14 +131,6 @@ class GameParams:
     def is_general(self) -> bool:
         """True when 0 < l < u < s: no window edge sits at 0 or s and l != u."""
         return 0 < self.l < self.u < self.s
-
-
-def _require_general(params: GameParams) -> None:
-    if not params.is_general:
-        raise ValueError(
-            f"parameters l={params.l}, u={params.u}, s={params.s} are a boundary "
-            "configuration; use joint_distribution, which covers it"
-        )
 
 
 @dataclass(frozen=True)
@@ -223,47 +217,6 @@ class JointDistribution:
         )
 
 
-# ==================== bump index ranges ====================
-
-
-def bump_k_range(params: GameParams, n: int) -> tuple[int, int]:
-    """Admissible count k of capped ranks for a bump at draw n.
-
-    Returns (k_lo, k_hi); an empty range (k_lo > k_hi) signals that no
-    configuration exists at this n, it is not an error.
-    """
-    _require_general(params)
-    k_lo = max(1, n - (params.l + (params.m - 1) * (params.u - 1)))
-    k_hi = (n - 1) // params.u
-    return k_lo, k_hi
-
-
-def bump_kpp_range(params: GameParams, n: int, k: int) -> tuple[int, int]:
-    """Admissible count k'' of interior ranks, given k capped ranks at draw n.
-
-    For every n and k accepted by bump_k_range this window is provably
-    non-empty; if the bounds ever cross, the engine is inconsistent and
-    ConsistencyError is raised.
-    """
-    _require_general(params)
-    m, l, u = params.m, params.l, params.u
-    if not (u + 1 <= n <= params.n_max):
-        raise ValueError(f"n={n} outside bump support [{u + 1}, {params.n_max}]")
-    k_lo, k_hi = bump_k_range(params, n)
-    if not (k_lo <= k <= k_hi):
-        raise ValueError(f"k={k} outside admissible range [{k_lo}, {k_hi}] at n={n}")
-    n_k = n - 1 - k * u
-    num = n_k - (m - k) * (l - 1)
-    kpp_lo = max(0, -((-num) // (u - l)))
-    kpp_hi = min(n_k // l, m - k - 1)
-    if kpp_lo > kpp_hi:
-        raise ConsistencyError(
-            f"empty interior-rank window at {params}, n={n}, k={k}: "
-            f"[{kpp_lo}, {kpp_hi}] should be non-empty"
-        )
-    return kpp_lo, kpp_hi
-
-
 # ==================== assembly ====================
 
 
@@ -289,27 +242,14 @@ def _gf_rows(params: GameParams) -> tuple[tuple[tuple[int, int, int], ...], int]
     """
     m, s, l, u, t = params.m, params.s, params.l, params.u, params.t
     top = params.n_max
-    window = window_poly(s, l, u)
+    window, under_cap = window_poly(s, l, u), window_poly(s, 0, u)  # C, D
     inside = _power(window, m - 1, top)
-    # bump[n] = sum_k C(m, k) * k * C(s, u)**k * (s - u)
-    #                * [z**(n-1-k*u)] ((A + B)**(m-k) - B**(m-k)), over n * C(t, n).
-    # k runs down from m - 1, so each power is one product on the last and
-    # only one power of each polynomial is held.
-    bump = [0] * (top + 1)
-    cap_ways = binomial(s, u)
-    below_cap, interior = window_poly(s, 0, u - 1), window_poly(s, l, u - 1)  # A + B, B
-    below_pow, interior_pow = [1], [1]
-    for k in range(m - 1, 0, -1):
-        below_pow = truncated_product(below_pow, below_cap, top)  # (A + B)**(m - k)
-        interior_pow = truncated_product(interior_pow, interior, top)  # B**(m - k)
-        weight = binomial(m, k) * k * cap_ways**k * (s - u)
-        for j in range(top - k * u):
-            bump[1 + k * u + j] += weight * (_coef(below_pow, j) - _coef(interior_pow, j))
+    capped = _power(under_cap, m - 1, top)
     # [z**n] alive counts the n-card hands after which play is still running:
     # every tally at most u, less those with every tally inside [l, u].
-    under_cap = _power(window_poly(s, 0, u), m, top)
+    all_capped = truncated_product(capped, under_cap, top)
     in_window = truncated_product(inside, window, top)
-    alive = [_coef(under_cap, j) - _coef(in_window, j) for j in range(top + 1)]
+    alive = [_coef(all_capped, j) - _coef(in_window, j) for j in range(top + 1)]
 
     start = m * l if u == s else min(m * l, u + 1)
     if alive[top] != 0 or alive[start - 1] != binomial(t, start - 1):
@@ -318,16 +258,18 @@ def _gf_rows(params: GameParams) -> tuple[tuple[tuple[int, int, int], ...], int]
             f"after draw {top} are not C(t, {start - 1}) and 0 for {params}"
         )
     band_lead = t * binomial(s - 1, l - 1)
+    bump_lead = m * binomial(s, u) * (s - u)
     denominator = math.lcm(*range(1, t + 1))
     rows = []
     for n in range(start, top + 1):
         # Numerators over n * C(t, n) = t * C(t - 1, n - 1).
         band = band_lead * _coef(inside, n - l)
+        bump = bump_lead * (_coef(capped, n - 1 - u) - _coef(inside, n - 1 - u))
         # P[N = n] = P[N > n - 1] - P[N > n], with P[N > n] = alive[n] / C(t, n).
-        if band + bump[n] != (t - n + 1) * alive[n - 1] - n * alive[n]:
+        if band + bump != (t - n + 1) * alive[n - 1] - n * alive[n]:
             raise ConsistencyError(f"survival identity fails at {params}, n={n}")
         scale = denominator // (t * binomial(t - 1, n - 1))
-        rows.append((n, band * scale, bump[n] * scale))
+        rows.append((n, band * scale, bump * scale))
     return tuple(rows), denominator
 
 

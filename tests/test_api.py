@@ -36,7 +36,16 @@ def test_top_level_api_is_pinned():
     assert sorted(bandorbump.__all__) == SUPPORTED
     for name in SUPPORTED:
         assert getattr(bandorbump, name) is not None, name
-    for gone in ("band_joint", "bump_joint", "bump_index_range", "BumpIndexRange", "KppBounds"):
+    for gone in (
+        "band_joint",
+        "bump_joint",
+        "bump_index_range",
+        "BumpIndexRange",
+        "KppBounds",
+        "bump_k_range",
+        "bump_kpp_range",
+        "_require_general",
+    ):
         assert not hasattr(distribution, gone), gone
 
 

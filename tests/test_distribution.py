@@ -5,17 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bandorbump import distribution
+from bandorbump.analysis import bump_k_range, bump_kpp_range
 from bandorbump.distribution import (
     ConsistencyError,
     GameParams,
     JointDistribution,
     Outcome,
-    bump_k_range,
-    bump_kpp_range,
     _gf_rows,
     joint_distribution,
 )
 from bandorbump.exactnum import binomial, to_decimal
+from bandorbump.hypergeom import window_poly
 from bandorbump.oracle import exhaustive_distribution
 from reference import (
     HypergeomSpec,
@@ -483,6 +483,19 @@ def _corrupt_window(monkeypatch, lo: int, hi: int, degree: int) -> None:
     monkeypatch.setattr(distribution, "window_poly", corrupted)
 
 
+def _corrupt_power(monkeypatch, base: list[int], degree: int, delta: int) -> None:
+    """Add delta to one coefficient of the engine's power of the polynomial base."""
+    real = distribution._power
+
+    def corrupted(poly, e, top):
+        out = real(poly, e, top)
+        if poly == base:
+            out[degree] += delta
+        return out
+
+    monkeypatch.setattr(distribution, "_power", corrupted)
+
+
 class TestSurvivalCheck:
     """Mutants of the engine's polynomials must trip the survival checks."""
 
@@ -491,18 +504,43 @@ class TestSurvivalCheck:
 
     @pytest.mark.parametrize("params", [TINY, RANK_GAME, SUIT_GAME])
     def test_corrupt_bump_coefficient_is_caught(self, monkeypatch, params):
-        # the below-cap window [0, u - 1] enters the bump rows only; its
-        # constant term counts the rank left empty beside k = 1 capped ranks
-        # at draw u + 1
-        _corrupt_window(monkeypatch, 0, params.u - 1, 0)
-        with pytest.raises(ConsistencyError, match="survival identity fails"):
-            _gf_rows(params)
+        # D**(m-1), over the window [0, u], feeds the bump rows; its
+        # coefficient n_max - 1 - u is read by the last row's bump.  On TINY
+        # every such corruption already moves the survival counts at n_max.
+        p = params
+        message = "survival counts" if p == TINY else "survival identity fails"
+        _corrupt_power(monkeypatch, window_poly(p.s, 0, p.u), p.n_max - 1 - p.u, 1)
+        with pytest.raises(ConsistencyError, match=message):
+            _gf_rows(p)
 
     def test_corrupt_survival_counts_are_caught(self, monkeypatch):
-        # the window [0, u] enters only the survival counts
+        # a slip in the window [0, u] itself reaches D**(m-1) and D**m alike
         _corrupt_window(monkeypatch, 0, SUIT_GAME.u, SUIT_GAME.u)
         with pytest.raises(ConsistencyError, match="survival counts"):
             _gf_rows(SUIT_GAME)
+
+    @pytest.mark.parametrize(
+        "params", [TINY, RANK_GAME, SUIT_GAME, GameParams(3, 5, 2, 3), GameParams(5, 4, 2, 2)]
+    )
+    def test_every_unit_corruption_of_a_row_power_is_caught(self, monkeypatch, params):
+        # C**(m-1) and D**(m-1) feed the band and bump rows and, one product
+        # further, the survival counts; a +-1 slip in any coefficient must
+        # raise or leave the rows as they are.
+        p = params
+        expected = _gf_rows(p)
+        caught = 0
+        for base in (window_poly(p.s, p.l, p.u), window_poly(p.s, 0, p.u)):
+            for degree in range(len(distribution._power(base, p.m - 1, p.n_max))):
+                for delta in (1, -1):
+                    with monkeypatch.context() as mp:
+                        _corrupt_power(mp, base, degree, delta)
+                        try:
+                            rows = _gf_rows(p)
+                        except ConsistencyError:
+                            caught += 1
+                            continue
+                    assert rows == expected, (p, base, degree, delta)
+        assert caught > 0
 
 
 @st.composite
