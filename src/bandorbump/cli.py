@@ -217,11 +217,15 @@ def cmd_verify(
 ) -> None:
     """Check the closed forms against independent recomputation."""
     params = _parse_params(m, s, l, u)
+    exhaustive = params.t <= oracle_cap
+    if not exhaustive and mc_trials is None:
+        raise click.UsageError(
+            f"deck size t={params.t} exceeds --oracle-cap {oracle_cap} and no --mc-trials "
+            "were requested; nothing to verify"
+        )
     dist = joint_distribution(params)
-    ran = False
     failed = False
-    if params.t <= oracle_cap:
-        ran = True
+    if exhaustive:
         reference = exhaustive_distribution(params, cap=oracle_cap)
         if dist.matches(reference):
             click.echo(f"exhaustive: exact match on {len(dist.numerators)} rows")
@@ -238,7 +242,6 @@ def cmd_verify(
     else:
         click.echo(f"exhaustive: skipped (t={params.t} exceeds cap {oracle_cap})")
     if mc_trials is not None:
-        ran = True
         empirical = simulate(params, mc_trials, seed)
         report = compare(dist, empirical, z_threshold=z_threshold, min_prob=_MIN_SCORED_PROB)
         scored = sum(1 for c in report.cells if c.scored)
@@ -250,11 +253,6 @@ def cmd_verify(
             click.echo(f"monte carlo: {report.impossible} hits on cells of exact probability 0")
         if not report.passed:
             failed = True
-    if not ran:
-        raise click.UsageError(
-            f"deck size t={params.t} exceeds --oracle-cap {oracle_cap} and no --mc-trials "
-            "were requested; nothing to verify"
-        )
     sys.exit(1 if failed else 0)
 
 
@@ -324,7 +322,7 @@ def cmd_payoff(m: int, s: int, l: int, u: int, band_pay: str, bump_pay: str, dig
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     ev = payoff_ev(joint_distribution(params), payoff)
-    click.echo(f"expected payoff: {ev.numerator}/{ev.denominator} = {to_decimal(ev, digits)}")
+    click.echo(f"expected payoff: {_rat(ev)} = {to_decimal(ev, digits)}")
 
 
 if __name__ == "__main__":

@@ -79,7 +79,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cache
 
 from .exactnum import binomial
 from .hypergeom import truncated_product, window_poly
@@ -273,9 +272,8 @@ def _gf_rows(params: GameParams) -> tuple[tuple[tuple[int, int, int], ...], int]
     return tuple(rows), denominator
 
 
-@cache
 def joint_distribution(params: GameParams) -> JointDistribution:
-    """The full joint law over (stopping draw, outcome).
+    """The full joint law over (stopping draw, outcome), solved afresh on every call.
 
     l = 0 stops at the first card: a bump when u = 0 (any card overshoots a
     zero cap), a band otherwise (quotas are met before any draw and one card

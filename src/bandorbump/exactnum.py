@@ -54,8 +54,13 @@ def _round_half_even(num: int, den: int) -> int:
     return n
 
 
-def _place_point(digits: str, e: int) -> str:
-    # digits is the significand; the leading digit sits at magnitude 10**e.
+def _place_point(d: int, e: int, sig_figs: int) -> str:
+    # d is the rounded significand of sig_figs digits, its leading digit at
+    # magnitude 10**e; rounding up may have carried it to 10**sig_figs.
+    if d == 10**sig_figs:
+        d //= 10
+        e += 1
+    digits = str(d)
     if e >= len(digits) - 1:
         return digits + "0" * (e - len(digits) + 1)
     if e >= 0:
@@ -86,10 +91,7 @@ def to_decimal(x: Fraction | int | tuple[int, int], sig_figs: int = 6) -> str:
     num = abs(num)
     e = _floor_log10(num, den)
     d = _round_half_even(*_scale(num, den, sig_figs - 1 - e))
-    if d == 10**sig_figs:
-        d //= 10
-        e += 1
-    return sign + _place_point(str(d), e)
+    return sign + _place_point(d, e, sig_figs)
 
 
 def sqrt_decimal(x: Fraction | int, sig_figs: int = 6) -> str:
@@ -119,7 +121,4 @@ def sqrt_decimal(x: Fraction | int, sig_figs: int = 6) -> str:
         d = a + 1
     else:
         d = a
-    if d == 10**sig_figs:
-        d //= 10
-        e += 1
-    return _place_point(str(d), e)
+    return _place_point(d, e, sig_figs)

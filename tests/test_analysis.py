@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -229,6 +231,20 @@ class TestScans:
         report = bump_logconcavity_scan((2, 4), (2, 6))
         assert report.ok
         assert report.kind == "bump-logconcavity"
+
+    def test_scan_keeps_no_law(self, monkeypatch):
+        laws = []
+
+        def recording(params):
+            dist = joint_distribution(params)
+            laws.append(weakref.ref(dist))
+            return dist
+
+        monkeypatch.setattr(analysis, "joint_distribution", recording)
+        report = bump_logconcavity_scan((2, 6), (2, 6))
+        gc.collect()
+        assert len(laws) == report.cells
+        assert all(law() is None for law in laws)
 
     def test_empty_grid(self):
         report = nonvacuity_scan((3, 2), (2, 2))

@@ -11,10 +11,12 @@ from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
+from bandorbump import cli
 from bandorbump.analysis import moments
 from bandorbump.cli import _rat
-from bandorbump.distribution import GameParams, joint_distribution
+from bandorbump.distribution import GameParams, JointDistribution, joint_distribution
 
 TIMEOUT = 120
 
@@ -234,6 +236,36 @@ class TestVerify:
         assert proc.returncode == 2
         assert "nothing to verify" in proc.stderr
 
+    def test_refused_before_any_solve(self, monkeypatch):
+        # t = 4000 takes seconds to solve; the refusal must come first.
+        def unreachable(params):
+            raise AssertionError(f"solved {params}")
+
+        monkeypatch.setattr(cli, "joint_distribution", unreachable)
+        result = CliRunner().invoke(cli.main, ["verify", "-m", "1000", "-s", "4", "-l", "1", "-u", "3"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "nothing to verify" in result.stderr
+
+    def test_mismatch_lists_each_differing_draw(self, monkeypatch):
+        # The formula's law of (4, 4, 1, 3) with 1/1001 of bump mass moved
+        # from draw 5 to draw 8 stands in for a disagreeing oracle.
+        params = GameParams(4, 4, 1, 3)
+        law = joint_distribution(params)
+        moved = tuple(
+            (n, band, bump + {5: -720, 8: 720}.get(n, 0)) for n, band, bump in law.numerators
+        )
+        assert law.denominator == 720720
+        reference = JointDistribution(params, moved, law.denominator)
+        monkeypatch.setattr(cli, "exhaustive_distribution", lambda params, cap: reference)
+        result = CliRunner().invoke(cli.main, ["verify", "-m", "4", "-s", "4", "-l", "1", "-u", "3"])
+        assert result.exit_code == 1
+        assert result.stdout.splitlines() == [
+            "exhaustive: MISMATCH",
+            "  n=5: formula (96/455, 4/455) vs exhaustive (96/455, 3/385)",
+            "  n=8: formula (16/165, 68/2145) vs exhaustive (16/165, 491/15015)",
+        ]
+
     def test_oracle_cap_raise(self):
         proc = run_cli(
             "verify", "-m", "3", "-s", "6", "-l", "2", "-u", "4", "--oracle-cap", "18"
@@ -320,6 +352,20 @@ class TestPayoff:
         )
         # ev = 0.10 * 9/10 = 9/100
         assert proc.stdout.split()[2] == "9/100"
+
+    def test_exact_value_past_the_int_digit_limit(self):
+        # ev = 10**-5000 * 9/10 has a 5002-digit denominator, past the 4300
+        # digits str() allows by default.
+        get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+        limit = get_limit()
+        result = CliRunner().invoke(
+            cli.main,
+            ["payoff", "-m", "2", "-s", "3", "-l", "1", "-u", "2", "--band", "1e-5000", "--bump", "0"],
+        )
+        assert result.exit_code == 0, result.output
+        num, den = result.stdout.split()[2].split("/")
+        assert Fraction(int(Decimal(num)), int(Decimal(den))) == Fraction(9, 10**5001)
+        assert get_limit() == limit
 
     def test_garbage_payoff_is_usage_error(self):
         proc = run_cli(

@@ -385,9 +385,6 @@ class TestJointDispatch:
         assert dist.band_mass(2) == 1
         assert dist.bump_marginal == 0
 
-    def test_caching_returns_identical_object(self):
-        assert joint_distribution(TINY) is joint_distribution(GameParams(2, 3, 1, 2))
-
 
 def _general_cells(m_max: int, s_max: int):
     for m in range(1, m_max + 1):
@@ -460,7 +457,6 @@ class TestGeneratingFunctionRows:
         assert joint_distribution(p).matches(exhaustive_distribution(p, cap=208))
 
     def test_fifty_two_rank_deck_solves_cold(self):
-        joint_distribution.cache_clear()
         p = GameParams(52, 4, 1, 3)
         dist = joint_distribution(p)
         assert (dist.first_n, dist.last_n) == (4, p.n_max)
