@@ -18,6 +18,8 @@ report, not failures.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -29,7 +31,7 @@ from .distribution import (
     Outcome,
     joint_distribution,
 )
-from .exactnum import binomial, sqrt_decimal
+from .exactnum import sqrt_decimal
 from .hypergeom import truncated_product, window_poly
 
 
@@ -98,6 +100,12 @@ def moments(dist: JointDistribution, sig_figs: int = 6) -> MomentsReport:
 
 # ==================== payoffs ====================
 
+# Fraction("1e-400000") builds 10**400000 and payoff prints every digit of the
+# exact value, so stakes are refused past this exponent; so is an exponent of
+# more than 4 300 digits, which int() refuses to read.
+_MAX_STAKE_EXPONENT = 10_000
+_EXPONENT = re.compile(r"[eE][-+]?(\d+)")
+
 
 @dataclass(frozen=True)
 class PayoffSpec:
@@ -109,6 +117,10 @@ class PayoffSpec:
     @classmethod
     def parse(cls, band: str, bump: str) -> PayoffSpec:
         """Parse decimal strings ("-3", "0.25") exactly; no binary rounding."""
+        for text in (band, bump):
+            exponent = _EXPONENT.search(text.replace("_", ""))
+            if exponent and (len(exponent[1]) > 4300 or int(exponent[1]) > _MAX_STAKE_EXPONENT):
+                raise ValueError(f"payoff stake {text!r} has an exponent beyond {_MAX_STAKE_EXPONENT}")
         try:
             return cls(Fraction(band), Fraction(bump))
         except (ValueError, ZeroDivisionError) as exc:
@@ -296,7 +308,7 @@ def nonvacuity_scan(
                 for kpp in range(kpp_lo, kpp_hi + 1):
                     checks += 1
                     count = _product_coef(below[m - k - kpp], interior[kpp], j)
-                    if binomial(m - k, kpp) * count <= 0:
+                    if math.comb(m - k, kpp) * count <= 0:
                         findings.append(Finding(m, s, l, u, n, k, kpp, "non-positive summand"))
     return ScanReport("nonvacuity", m_range, s_range, cells, checks, tuple(findings))
 

@@ -227,7 +227,7 @@ def cmd_verify(
     failed = False
     if exhaustive:
         reference = exhaustive_distribution(params, cap=oracle_cap)
-        if dist.matches(reference):
+        if dist == reference:
             click.echo(f"exhaustive: exact match on {len(dist.numerators)} rows")
         else:
             failed = True

@@ -38,8 +38,8 @@ special.
 
 The law is carried as integers.  t * C(t-1, k) divides L = lcm(1, ..., t)
 for every k (Farhi, Amer. Math. Monthly 116, 2009), so each cell is an
-integer numerator over the one denominator L.  Fractions are formed only
-where a reader asks for one.
+integer numerator over the one denominator L, the l = 0 law included, and
+``==`` compares laws by value.  Fractions are formed only where asked for.
 
 Every row is checked against a second count.  With F = D**m - C**m,
 
@@ -80,7 +80,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .exactnum import binomial
 from .hypergeom import truncated_product, window_poly
 
 
@@ -127,6 +126,11 @@ class GameParams:
         return self.l + (self.m - 1) * self.u
 
     @property
+    def denominator(self) -> int:
+        """L = lcm(1, ..., t), the one denominator of every law of this deck."""
+        return math.lcm(*range(1, self.t + 1))
+
+    @property
     def is_general(self) -> bool:
         """True when 0 < l < u < s: no window edge sits at 0 or s and l != u."""
         return 0 < self.l < self.u < self.s
@@ -136,10 +140,11 @@ class GameParams:
 class JointDistribution:
     """Joint law over (stopping draw n, outcome), stored as integer numerators.
 
-    numerators holds (n, band, bump) for every n in the stored span, explicit
-    zeros included; P[N = n, band] is band / denominator, and likewise for
-    bump.  The numerators need not share a factor with the denominator, so
-    one law has many representations; ``matches`` compares values.  They are
+    numerators holds (n, band, bump) for every n from the first draw with
+    mass to the last, explicit zeros in between; P[N = n, band] is band /
+    denominator, and likewise for bump.  The denominator is always
+    ``params.denominator`` = lcm(1, ..., t), so each law has exactly one
+    representation and ``==`` compares values.  The numerators are
     non-negative and total exactly the denominator.
     """
 
@@ -150,8 +155,10 @@ class JointDistribution:
     def __post_init__(self) -> None:
         if not self.numerators:
             raise ValueError("a distribution needs at least one row")
-        if self.denominator < 1:
-            raise ValueError(f"denominator must be >= 1, got {self.denominator}")
+        if self.denominator != self.params.denominator:
+            raise ValueError(
+                f"denominator {self.denominator} is not lcm(1, ..., t) = {self.params.denominator}"
+            )
         first = self.numerators[0][0]
         total = 0
         for i, (n, band, bump) in enumerate(self.numerators):
@@ -160,6 +167,8 @@ class JointDistribution:
             if band < 0 or bump < 0:
                 raise ValueError(f"negative mass at n={n}")
             total += band + bump
+        if not any(self.numerators[0][1:]) or not any(self.numerators[-1][1:]):
+            raise ValueError("the first and last rows must carry mass")
         if total != self.denominator:
             raise ConsistencyError(
                 f"total mass is {Fraction(total, self.denominator)}, not 1, for {self.params}"
@@ -202,19 +211,6 @@ class JointDistribution:
     def bump_marginal(self) -> Fraction:
         return Fraction(sum(r[2] for r in self.numerators), self.denominator)
 
-    def matches(self, other: JointDistribution) -> bool:
-        """Exact equality of both mass functions (row spans and denominators may differ)."""
-        if self.params != other.params:
-            return False
-        lo = min(self.first_n, other.first_n)
-        hi = max(self.last_n, other.last_n)
-        d, e = self.denominator, other.denominator
-        return all(
-            self.numerator(n, outcome) * e == other.numerator(n, outcome) * d
-            for n in range(lo, hi + 1)
-            for outcome in Outcome
-        )
-
 
 # ==================== assembly ====================
 
@@ -231,13 +227,13 @@ def _power(poly: list[int], e: int, degree: int) -> list[int]:
     return out
 
 
-def _gf_rows(params: GameParams) -> tuple[tuple[tuple[int, int, int], ...], int]:
-    """Band and bump numerators for l >= 1 from truncated generating-function powers.
+def _gf_rows(params: GameParams) -> tuple[tuple[int, int, int], ...]:
+    """Band and bump numerators over L for l >= 1 from truncated generating-function powers.
 
-    Returns the rows and their common denominator lcm(1, ..., t).  Row span:
-    n from min(m*l, u+1) through n_max with explicit zeros, so both outcome
-    columns are visible from their earliest possible draw; when u = s no
-    bump exists and the span starts at the first possible band, m*l.
+    Row span: n from min(m*l, u+1) through n_max with explicit zeros, so both
+    outcome columns are visible from their earliest possible draw; when u = s
+    no bump exists and the span starts at the first possible band, m*l.  Both
+    ends carry mass (a bump at u + 1 < m*l, bands at m*l and n_max).
     """
     m, s, l, u, t = params.m, params.s, params.l, params.u, params.t
     top = params.n_max
@@ -251,14 +247,14 @@ def _gf_rows(params: GameParams) -> tuple[tuple[tuple[int, int, int], ...], int]
     alive = [_coef(all_capped, j) - _coef(in_window, j) for j in range(top + 1)]
 
     start = m * l if u == s else min(m * l, u + 1)
-    if alive[top] != 0 or alive[start - 1] != binomial(t, start - 1):
+    if alive[top] != 0 or alive[start - 1] != math.comb(t, start - 1):
         raise ConsistencyError(
             f"survival counts {alive[start - 1]} before draw {start} and {alive[top]} "
             f"after draw {top} are not C(t, {start - 1}) and 0 for {params}"
         )
-    band_lead = t * binomial(s - 1, l - 1)
-    bump_lead = m * binomial(s, u) * (s - u)
-    denominator = math.lcm(*range(1, t + 1))
+    band_lead = t * math.comb(s - 1, l - 1)
+    bump_lead = m * math.comb(s, u) * (s - u)
+    denominator = params.denominator
     rows = []
     for n in range(start, top + 1):
         # Numerators over n * C(t, n) = t * C(t - 1, n - 1).
@@ -267,9 +263,9 @@ def _gf_rows(params: GameParams) -> tuple[tuple[tuple[int, int, int], ...], int]
         # P[N = n] = P[N > n - 1] - P[N > n], with P[N > n] = alive[n] / C(t, n).
         if band + bump != (t - n + 1) * alive[n - 1] - n * alive[n]:
             raise ConsistencyError(f"survival identity fails at {params}, n={n}")
-        scale = denominator // (t * binomial(t - 1, n - 1))
+        scale = denominator // (t * math.comb(t - 1, n - 1))
         rows.append((n, band * scale, bump * scale))
-    return tuple(rows), denominator
+    return tuple(rows)
 
 
 def joint_distribution(params: GameParams) -> JointDistribution:
@@ -277,9 +273,10 @@ def joint_distribution(params: GameParams) -> JointDistribution:
 
     l = 0 stops at the first card: a bump when u = 0 (any card overshoots a
     zero cap), a band otherwise (quotas are met before any draw and one card
-    cannot leave [0, u]).  Every l >= 1 runs through the generating-function
-    rows; see ``_gf_rows`` for the row span.
+    cannot leave [0, u]); its one row is over L like every other law.  Every
+    l >= 1 runs through the generating-function rows; see ``_gf_rows``.
     """
+    d = params.denominator
     if params.l == 0:
-        return JointDistribution(params, ((1, 0, 1) if params.u == 0 else (1, 1, 0),), 1)
-    return JointDistribution(params, *_gf_rows(params))
+        return JointDistribution(params, ((1, 0, d) if params.u == 0 else (1, d, 0),), d)
+    return JointDistribution(params, _gf_rows(params), d)

@@ -1,4 +1,4 @@
-"""Exact combinatorial arithmetic and decimal rendering.
+"""Exact decimal rendering of rationals and of square roots.
 
 Everything here is integer or rational arithmetic with no floating point.
 Probabilities stay exact, as ``fractions.Fraction`` values or as integer
@@ -11,15 +11,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-
-def binomial(a: int, b: int) -> int:
-    """C(a, b) as an exact integer; 0 when b < 0 or b > a; a < 0 is an error."""
-    if a < 0:
-        raise ValueError(f"binomial requires a >= 0, got a={a}")
-    if b < 0 or b > a:
-        return 0
-    return math.comb(a, b)
 
 
 # log10(2) truncated to 42 decimals.  The floor in _floor_log10 is taken of

@@ -12,7 +12,7 @@ two, so no count ever touches floating point.
 
 from __future__ import annotations
 
-from .exactnum import binomial
+import math
 
 
 def window_poly(rank_size: int, lo: int, hi: int) -> list[int]:
@@ -24,7 +24,7 @@ def window_poly(rank_size: int, lo: int, hi: int) -> list[int]:
     hi = min(hi, rank_size)
     if lo > hi:
         return []
-    return [0] * lo + [binomial(rank_size, x) for x in range(lo, hi + 1)]
+    return [0] * lo + [math.comb(rank_size, x) for x in range(lo, hi + 1)]
 
 
 def truncated_product(p: list[int], q: list[int], degree: int) -> list[int]:

@@ -22,9 +22,9 @@ loses nothing, and a draw moves one rank from ``h[v]`` to ``h[v + 1]``.  There
 are at most C(m + u, m) histograms.  Each state carries the integer count of
 ordered deal prefixes (cards told apart) that reach it; every count at draw n
 shares the denominator (t)_n = t (t - 1) ... (t - n + 1).  Each emitted
-(n, outcome) cell becomes a numerator over L = lcm(1, ..., t), the
-denominator the formula engine uses, as count * L / (t)_n; that division
-must be exact, and a remainder raises ConsistencyError.
+(n, outcome) cell becomes a numerator over L = lcm(1, ..., t), the one
+denominator of every law (``GameParams.denominator``), as count * L / (t)_n;
+that division must be exact, and a remainder raises ConsistencyError.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def exhaustive_distribution(params: GameParams, cap: int = 16) -> JointDistribut
     # n - 1 cards and on card n, so a cell's count is (n - 1)! times a count
     # of such pairs, its probability a multiple of 1 / (t C(t - 1, n - 1)),
     # and t C(t - 1, n - 1) divides lcm(1, ..., t).  Emit numerators over it.
-    denominator = math.lcm(*range(1, t + 1))
+    denominator = params.denominator
     band: dict[int, int] = {}
     bump: dict[int, int] = {}
     alive: dict[tuple[int, ...], int] = {(m,) + (0,) * u: 1}

@@ -17,13 +17,26 @@ equal to these forms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from bandorbump.distribution import GameParams
-from bandorbump.exactnum import binomial
 from bandorbump.hypergeom import truncated_product, window_poly
+
+
+def binomial(a: int, b: int) -> int:
+    """C(a, b) as an exact integer; 0 when b < 0 or b > a; a < 0 is an error.
+
+    The forms below sum over index ranges that may reach past either end of
+    a row of Pascal's triangle, and rely on those terms being 0.
+    """
+    if a < 0:
+        raise ValueError(f"binomial requires a >= 0, got a={a}")
+    if b < 0 or b > a:
+        return 0
+    return math.comb(a, b)
 
 
 def multinomial(n: int, parts: list[int] | tuple[int, ...]) -> int:

@@ -91,6 +91,24 @@ class TestPayoff:
         with pytest.raises(ValueError):
             PayoffSpec.parse("two dollars", "1")
 
+    @pytest.mark.parametrize("text", ["1e-10000", "1E+10_000", "-2.5e0000000000000003", "1e٣"])
+    def test_parse_accepts_exponents_up_to_the_bound(self, text):
+        assert PayoffSpec.parse(text, "0").band == Fraction(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1e-10001", "1E+10_001", "3e1000000", "1e-٠٠٣٠٠٠٠", "1e-" + "9" * 5000],
+        ids=["1e-10001", "1E+10_001", "3e1000000", "Arabic-Indic 30000", "5000-digit exponent"],
+    )
+    def test_parse_refuses_exponents_past_the_bound(self, monkeypatch, text):
+        # the refusal comes before any Fraction is built
+        def unreachable(text):
+            raise AssertionError(f"built Fraction({text[:20]!r})")
+
+        monkeypatch.setattr(analysis, "Fraction", unreachable)
+        with pytest.raises(ValueError, match="has an exponent beyond 10000$"):
+            PayoffSpec.parse(text, "0")
+
     def test_rank_game_headline_value(self):
         # +2 on a bump, -3 on a band: small positive edge
         dist = joint_distribution(RANK_GAME)

@@ -367,6 +367,17 @@ class TestPayoff:
         assert Fraction(int(Decimal(num)), int(Decimal(den))) == Fraction(9, 10**5001)
         assert get_limit() == limit
 
+    def test_stake_exponent_past_the_bound_is_refused(self):
+        # 1e-400000 would expand to a 400 001-digit integer and print every
+        # digit of the exact value; it is refused up front instead.
+        result = CliRunner().invoke(
+            cli.main,
+            ["payoff", "-m", "2", "-s", "3", "-l", "1", "-u", "2", "--band", "1e-400000", "--bump", "0"],
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "payoff stake '1e-400000' has an exponent beyond 10000" in result.stderr
+
     def test_garbage_payoff_is_usage_error(self):
         proc = run_cli(
             "payoff", "-m", "2", "-s", "3", "-l", "1", "-u", "2",

