@@ -11,6 +11,7 @@ import csv
 import json
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import click
@@ -33,8 +34,8 @@ from .oracle import compare, exhaustive_distribution, simulate
 # unscored.
 _MIN_SCORED_PROB = 1e-5
 
-# to_decimal prints its significand as an int, which Python refuses past 4300
-# digits; 1000 significant figures is already far more than any table needs.
+# 1000 significant figures is already far more than any table needs; more
+# would only be needless work.
 _MAX_DIGITS = 1000
 
 
@@ -105,14 +106,9 @@ def _rat(x: Fraction | tuple[int, int]) -> str:
         return f"{num}/{den}"
     except ValueError:
         # Since 3.11 (and 3.10.7) str() refuses ints past 4300 digits, which a
-        # variance denominator reaches near t = 5500; lift the limit for this
-        # output alone.
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            return f"{num}/{den}"
-        finally:
-            sys.set_int_max_str_digits(limit)
+        # variance denominator reaches near t = 5500.  Decimal has no such
+        # limit, but it is slower, so it serves only here.
+        return f"{Decimal(num)}/{Decimal(den)}"
 
 
 def _json_value(x: tuple[int, int] | None, digits: int) -> dict | None:
@@ -199,10 +195,10 @@ def cmd_dist(m: int, s: int, l: int, u: int, digits: int, fmt: str) -> None:
 @click.option("--seed", type=int, default=0, show_default=True, help="Simulation seed.")
 @click.option(
     "--oracle-cap",
-    type=int,
+    type=click.IntRange(min=0),
     default=16,
     show_default=True,
-    help="Largest deck the exhaustive check will accept.",
+    help="Largest deck the exhaustive check will accept; 0 leaves Monte Carlo only.",
 )
 @click.option(
     "--z-threshold",

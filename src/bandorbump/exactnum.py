@@ -1,62 +1,32 @@
 """Exact decimal rendering of rationals and of square roots.
 
-Everything here is integer or rational arithmetic with no floating point.
 Probabilities stay exact, as ``fractions.Fraction`` values or as integer
-(numerator, denominator) pairs, until the moment they are printed; printing
+(numerator, denominator) pairs, until the moment they are printed.  Printing
 is correctly rounded (round half to even) to a fixed number of significant
-figures.
+figures: a rational takes one division in the stdlib ``decimal`` module, which
+IEEE 854 defines as correctly rounded, and a square root takes an integer
+square root and an exact comparison with the halfway point.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_FLOOR, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 
 
-# log10(2) truncated to 42 decimals.  The floor in _floor_log10 is taken of
-# (d + 1) * log10(2) for a bit-length difference d; an error below 1e-42 moves
-# it only if that product lies within |d + 1| * 1e-42 of an integer, which no
-# bit length that fits in memory comes close to.
-_LOG10_2_NUM = 301029995663981195213738894724493026768189
-_LOG10_2_DEN = 10**42
+@functools.lru_cache(maxsize=16)
+def _context(prec: int, rounding: str = ROUND_HALF_EVEN) -> Context:
+    # The widest exponent range, so that no value that fits in memory
+    # overflows or underflows; the default context stops at 1e+-999999.
+    return Context(prec=prec, rounding=rounding, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
-def _floor_log10(num: int, den: int) -> int:
-    """Largest e with 10**e <= num / den, for num, den > 0."""
-    # num / den lies strictly between 2**(d - 1) and 2**(d + 1), a span under
-    # one decade, so floor((d + 1) * log10(2)) is exact or one too high.
-    d = num.bit_length() - den.bit_length()
-    e = (d + 1) * _LOG10_2_NUM // _LOG10_2_DEN
-    too_high = num < den * 10**e if e >= 0 else num * 10**-e < den
-    return e - too_high
-
-
-def _scale(num: int, den: int, k: int) -> tuple[int, int]:
-    """num / den times 10**k, as an unreduced (numerator, denominator) pair."""
-    return (num * 10**k, den) if k >= 0 else (num, den * 10**-k)
-
-
-def _round_half_even(num: int, den: int) -> int:
-    """Nearest integer to num / den >= 0, ties to the even neighbour."""
-    n, r = divmod(num, den)
-    twice = 2 * r
-    if twice > den or (twice == den and n % 2 == 1):
-        return n + 1
-    return n
-
-
-def _place_point(d: int, e: int, sig_figs: int) -> str:
-    # d is the rounded significand of sig_figs digits, its leading digit at
-    # magnitude 10**e; rounding up may have carried it to 10**sig_figs.
-    if d == 10**sig_figs:
-        d //= 10
-        e += 1
-    digits = str(d)
-    if e >= len(digits) - 1:
-        return digits + "0" * (e - len(digits) + 1)
-    if e >= 0:
-        return digits[: e + 1] + "." + digits[e + 1 :]
-    return "0." + "0" * (-e - 1) + digits
+def _plain(q: Decimal, sig_figs: int) -> str:
+    """q written with exactly sig_figs significant figures; q has no nonzero digit past them."""
+    places = sig_figs - 1 - q.adjusted()
+    return f"{q:.{places if places > 0 else 0}f}"
 
 
 def to_decimal(x: Fraction | int | tuple[int, int], sig_figs: int = 6) -> str:
@@ -78,11 +48,7 @@ def to_decimal(x: Fraction | int | tuple[int, int], sig_figs: int = 6) -> str:
         num, den = f.numerator, f.denominator
     if num == 0:
         return "0"
-    sign = "-" if num < 0 else ""
-    num = abs(num)
-    e = _floor_log10(num, den)
-    d = _round_half_even(*_scale(num, den, sig_figs - 1 - e))
-    return sign + _place_point(d, e, sig_figs)
+    return _plain(_context(sig_figs).divide(num, den), sig_figs)
 
 
 def sqrt_decimal(x: Fraction | int, sig_figs: int = 6) -> str:
@@ -99,10 +65,14 @@ def sqrt_decimal(x: Fraction | int, sig_figs: int = 6) -> str:
         raise ValueError(f"sqrt_decimal requires x >= 0, got {x}")
     if f == 0:
         return "0"
-    e = _floor_log10(f.numerator, f.denominator) // 2  # 10**e <= sqrt(f) < 10**(e+1)
-    # w = num / den is f * 10**(2 * (sig_figs - 1 - e)), not reduced; neither
-    # step below needs it reduced.
-    num, den = _scale(f.numerator, f.denominator, 2 * (sig_figs - 1 - e))
+    num, den = f.numerator, f.denominator
+    # Rounded towards -inf, the one-digit quotient never reaches the next
+    # power of ten, so its exponent is floor(log10 f) exactly.
+    e = _context(1, ROUND_FLOOR).divide(num, den).adjusted() // 2
+    # 10**e <= sqrt(f) < 10**(e+1).  w = num / den is f * 10**k, not reduced;
+    # neither step below needs it reduced.
+    k = 2 * (sig_figs - 1 - e)
+    num, den = (num * 10**k, den) if k >= 0 else (num, den * 10**-k)
     a = math.isqrt(num * den) // den
     # Compare sqrt(w) against a + 1/2 without leaving the integers:
     # sqrt(w) > a + 1/2  iff  4*num > den*(2a+1)^2.
@@ -112,4 +82,5 @@ def sqrt_decimal(x: Fraction | int, sig_figs: int = 6) -> str:
         d = a + 1
     else:
         d = a
-    return _place_point(d, e, sig_figs)
+    # Built from a string, the Decimal is exact: a context would round it.
+    return _plain(Decimal(f"{d}e{e - sig_figs + 1}"), sig_figs)

@@ -68,6 +68,13 @@ def test_reference_forms_live_in_the_tests():
         assert not hasattr(exactnum, gone), gone
 
 
+def test_exactnum_rounds_with_the_decimal_module():
+    # One correctly rounded decimal division replaces the hand-rolled
+    # exponent estimate, scaling, rounding and point placement.
+    for gone in ("_LOG10_2_NUM", "_LOG10_2_DEN", "_floor_log10", "_scale", "_round_half_even", "_place_point"):
+        assert not hasattr(exactnum, gone), gone
+
+
 def test_hypergeom_keeps_the_polynomial_helpers():
     # The benchmark's span recorder imports this module by name.
     assert hypergeom.window_poly(3, 1, 2) == [0, 3, 3]

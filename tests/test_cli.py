@@ -176,8 +176,13 @@ class TestDistJson:
         assert row["bump_conditional"]["exact"] == "1/1"
         assert doc["mean_duration"]["band"] is None
 
-    def test_exact_string_past_the_int_digit_limit(self):
-        # 3**9500 has 4 533 digits, past the 4 300 that str() allows by default
+    def test_exact_string_past_the_int_digit_limit(self, monkeypatch):
+        # 3**9500 has 4 533 digits, past the 4 300 that str() allows by
+        # default; the limit is process-wide state, so _rat must not touch it.
+        def refuse(limit):
+            raise AssertionError("_rat changed the int digit limit")
+
+        monkeypatch.setattr(sys, "set_int_max_str_digits", refuse, raising=False)
         x = Fraction(2, 3**9500)
         get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
         limit = get_limit()
@@ -219,6 +224,16 @@ class TestVerify:
         proc = run_cli("verify", "-m", "2", "-s", "3", "-l", "1", "-u", "2", "--mc-trials", trials)
         assert proc.returncode == 2
         assert "--mc-trials" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_negative_oracle_cap_is_usage_error(self):
+        # 0 is the smallest cap: it leaves Monte Carlo only.
+        proc = run_cli(
+            "verify", "-m", "2", "-s", "3", "-l", "1", "-u", "2",
+            "--oracle-cap", "-1", "--mc-trials", "10",
+        )
+        assert proc.returncode == 2
+        assert "--oracle-cap" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "0", "-1"])

@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from bandorbump.exactnum import (
     sqrt_decimal,
@@ -73,6 +73,38 @@ class TestMultinomial:
                     assert multinomial(m, (k, kp, kpp)) == binomial(m, k) * binomial(m - k, kpp)
 
 
+def _assert_correctly_rounded(x, sig):
+    """to_decimal(x, sig) is x rounded half to even to sig figures.
+
+    Checked in exact rationals, without the decimal module that to_decimal
+    rounds with; no int longer than sig digits goes through str() or int().
+    """
+    rendered = to_decimal(x, sig)
+    if x == 0:
+        assert rendered == "0"
+        return
+    assert rendered.startswith("-") == (x < 0)
+    whole, _, frac = rendered.lstrip("-").partition(".")
+    # Exactly sig significant figures; an integer may pad with zeros.
+    figures = (whole + frac).lstrip("0")
+    significand = figures.rstrip("0")
+    assert len(figures) == sig or (not frac and len(significand) <= sig < len(figures))
+    r = int(significand) * Fraction(10) ** (len(figures) - len(significand) - len(frac))
+    x = abs(x)
+    # floor(log10 x), from a rough start that the two loops correct.
+    e = (x.numerator.bit_length() - x.denominator.bit_length()) * 3 // 10
+    while Fraction(10) ** e > x:
+        e -= 1
+    while Fraction(10) ** (e + 1) <= x:
+        e += 1
+    ulp = Fraction(10) ** (e - sig + 1)
+    # r is a multiple of the ulp and a nearest one; a tie goes to the even one.
+    assert (r / ulp).denominator == 1, (rendered, x)
+    assert abs(r - x) <= ulp / 2, (rendered, x)
+    if abs(r - x) == ulp / 2:
+        assert (r / ulp).numerator % 2 == 0, (rendered, x)
+
+
 class TestToDecimal:
     @pytest.mark.parametrize(
         "value, sig, expected",
@@ -116,13 +148,37 @@ class TestToDecimal:
         sig=st.integers(min_value=1, max_value=12),
     )
     def test_matches_decimal_module(self, num, den, sig):
-        # Independent rounding oracle: IEEE 854 decimal division at the same
-        # precision and rounding mode must agree numerically.
+        # to_decimal must print the value of a decimal division at the same
+        # precision and rounding mode.  That is how it rounds, so this checks
+        # the printing only; test_correctly_rounded_in_exact_fractions checks
+        # the rounding without the decimal module.
         f = Fraction(num, den)
         got = to_decimal(f, sig)
         ctx = decimal.Context(prec=sig, rounding=decimal.ROUND_HALF_EVEN)
         want = ctx.divide(decimal.Decimal(num), decimal.Decimal(den))
         assert decimal.Decimal(got) == want
+
+    @given(
+        num=st.integers(min_value=-(10**30), max_value=10**30),
+        den=st.one_of(
+            st.integers(min_value=1, max_value=10**30),
+            # finite decimals, where exact ties occur
+            st.builds(lambda a, b: 2**a * 5**b, st.integers(0, 40), st.integers(0, 40)),
+        ),
+        sig=st.integers(min_value=1, max_value=25),
+    )
+    @example(num=5, den=2, sig=1)  # 2.5: a tie, to the even 2
+    @example(num=-35, den=100, sig=1)  # -0.35: a tie, to the even -0.4
+    @example(num=999, den=1000, sig=2)  # a carry to 1.0
+    # Either side of a power of ten, far from 1 and by a relative 1e-40.
+    @example(num=10**70 - 1, den=10**40, sig=1)
+    @example(num=10**70 - 1, den=10**40, sig=3)
+    @example(num=10**70 + 1, den=10**40, sig=3)
+    @example(num=1, den=10**40 + 1, sig=1)
+    @example(num=1, den=10**40 - 1, sig=3)
+    @example(num=-(10**50 - 1), den=10**90, sig=3)
+    def test_correctly_rounded_in_exact_fractions(self, num, den, sig):
+        _assert_correctly_rounded(Fraction(num, den), sig)
 
     @given(
         num=st.integers(min_value=0, max_value=10**9),
@@ -193,9 +249,8 @@ class TestSqrtDecimal:
 def _near_powers_of_ten():
     """10**k, 10**k -/+ 10**-40 and 10**k / 3 for k in [-30, 30].
 
-    The decimal exponent comes from a bit-length estimate that is exact or
-    one too high: one too high on 10**k - 10**-40 for every k, exact on
-    10**k and 10**k + 10**-40, and either on 10**k / 3.
+    The two sides of a power of ten put the decimal point in different
+    places, and at few figures 10**k - 10**-40 carries up to 10**k.
     """
     tiny = Fraction(1, 10**40)
     for k in range(-30, 31):
@@ -215,6 +270,8 @@ class TestPowerOfTenBoundaries:
     def test_to_decimal(self, sig):
         for x in _near_powers_of_ten():
             assert to_decimal(x, sig) == _rounded(x, sig), (x, sig)
+            _assert_correctly_rounded(x, sig)
+            _assert_correctly_rounded(-x, sig)
 
     @pytest.mark.parametrize("sig", [1, 3, 6, 20])
     def test_sqrt_decimal_of_squares(self, sig):
@@ -230,6 +287,8 @@ class TestLongIntegers:
         tiny = Fraction(1, 3**9500)  # about 10**-4533
         assert to_decimal(tiny) == _rounded(tiny, 6)
         assert to_decimal(1 / tiny, 8) == _rounded(1 / tiny, 8)
+        _assert_correctly_rounded(tiny, 6)
+        _assert_correctly_rounded(1 / tiny, 8)
         assert sqrt_decimal(tiny * tiny) == _rounded(tiny, 6)
 
     @pytest.mark.parametrize("sign", [1, -1])
@@ -237,7 +296,9 @@ class TestLongIntegers:
         for j in range(99_995, 100_005):
             x = Fraction(2) ** (sign * j)
             assert to_decimal(x, 8) == _rounded(x, 8), j
+            _assert_correctly_rounded(x, 8)
         for k in range(30_101, 30_106):
             power = Fraction(10) ** (sign * k)
             for x in (power, power - power / 10**40, power + power / 10**40):
                 assert to_decimal(x, 3) == _rounded(x, 3), (k, x > power)
+                _assert_correctly_rounded(x, 3)
