@@ -1,9 +1,9 @@
 """Summary statistics and structural scans over the exact stopping law.
 
-Moments stay rational for as long as mathematically possible: means,
-variances, marginals, and expected payoffs are exact Fractions, and only the
-standard deviation (an irrational square root) is delivered as a correctly
-rounded decimal string.
+Moments are exact: means, variances, marginals and expected payoffs are
+Fractions.  No text is made here; the command line renders the standard
+deviation, an irrational square root, as a correctly rounded decimal from the
+exact variance.
 
 The scans sweep parameter grids for structural properties of the law: that
 every term of the paper's bump sum is strictly positive wherever its index
@@ -24,14 +24,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .distribution import (
-    ConsistencyError,
-    GameParams,
-    JointDistribution,
-    Outcome,
-    joint_distribution,
-)
-from .exactnum import sqrt_decimal
+from .distribution import GameParams, JointDistribution, Outcome, joint_distribution
 from .hypergeom import truncated_product, window_poly
 
 
@@ -42,38 +35,35 @@ from .hypergeom import truncated_product, window_poly
 class OutcomeMoments:
     """Moments of the stopping draw restricted to one outcome.
 
-    mean/variance/sd are None when the outcome has no mass; the marginal of 0
-    is the flag.
+    mean and variance are None when the outcome has no mass; the marginal of
+    0 is the flag.
     """
 
     marginal: Fraction
     mean: Fraction | None
     variance: Fraction | None
-    sd: str | None
 
 
 @dataclass(frozen=True)
 class MomentsReport:
     mean: Fraction
     variance: Fraction
-    sd: str
     band: OutcomeMoments
     bump: OutcomeMoments
-    sig_figs: int
 
 
-def _conditional(mass: int, first: int, second: int, denominator: int, sig_figs: int) -> OutcomeMoments:
+def _conditional(mass: int, first: int, second: int, denominator: int) -> OutcomeMoments:
     """Moments of one outcome from the numerators, over denominator, of its
     mass, sum of n*p and sum of n*n*p."""
     marginal = Fraction(mass, denominator)
     if mass == 0:
-        return OutcomeMoments(marginal, None, None, None)
+        return OutcomeMoments(marginal, None, None)
     # The shared denominator cancels from the conditional moments.
     variance = Fraction(second * mass - first * first, mass * mass)
-    return OutcomeMoments(marginal, Fraction(first, mass), variance, sqrt_decimal(variance, sig_figs))
+    return OutcomeMoments(marginal, Fraction(first, mass), variance)
 
 
-def moments(dist: JointDistribution, sig_figs: int = 6) -> MomentsReport:
+def moments(dist: JointDistribution) -> MomentsReport:
     """Exact mean/variance of the stopping draw, overall and per outcome."""
     # Per outcome (band, then bump): numerators over dist.denominator of the
     # mass, sum of n*p and sum of n*n*p.
@@ -87,14 +77,11 @@ def moments(dist: JointDistribution, sig_figs: int = 6) -> MomentsReport:
     band, bump = sums
     d = dist.denominator
     first = band[1] + bump[1]
-    variance = Fraction((band[2] + bump[2]) * d - first * first, d * d)
     return MomentsReport(
         mean=Fraction(first, d),
-        variance=variance,
-        sd=sqrt_decimal(variance, sig_figs),
-        band=_conditional(*band, d, sig_figs),
-        bump=_conditional(*bump, d, sig_figs),
-        sig_figs=sig_figs,
+        variance=Fraction((band[2] + bump[2]) * d - first * first, d * d),
+        band=_conditional(*band, d),
+        bump=_conditional(*bump, d),
     )
 
 
@@ -226,9 +213,10 @@ def bump_k_range(params: GameParams, n: int) -> tuple[int, int]:
 def bump_kpp_range(params: GameParams, n: int, k: int) -> tuple[int, int]:
     """Admissible count k'' of interior ranks, given k capped ranks at draw n.
 
-    For every n and k accepted by bump_k_range this window is provably
-    non-empty; if the bounds ever cross, the engine is inconsistent and
-    ConsistencyError is raised.
+    Returns (kpp_lo, kpp_hi).  For every n and k accepted by bump_k_range
+    the paper claims this window is non-empty; an empty range
+    (kpp_lo > kpp_hi) is returned as it is, like bump_k_range's, and the
+    non-vacuity scan reports it as a finding.
     """
     _require_general(params)
     m, l, u = params.m, params.l, params.u
@@ -239,14 +227,7 @@ def bump_kpp_range(params: GameParams, n: int, k: int) -> tuple[int, int]:
         raise ValueError(f"k={k} outside admissible range [{k_lo}, {k_hi}] at n={n}")
     n_k = n - 1 - k * u
     num = n_k - (m - k) * (l - 1)
-    kpp_lo = max(0, -((-num) // (u - l)))
-    kpp_hi = min(n_k // l, m - k - 1)
-    if kpp_lo > kpp_hi:
-        raise ConsistencyError(
-            f"empty interior-rank window at {params}, n={n}, k={k}: "
-            f"[{kpp_lo}, {kpp_hi}] should be non-empty"
-        )
-    return kpp_lo, kpp_hi
+    return max(0, -((-num) // (u - l))), min(n_k // l, m - k - 1)
 
 
 def _general_grid(m_range: tuple[int, int], s_range: tuple[int, int]):
@@ -299,9 +280,8 @@ def nonvacuity_scan(
                 continue
             for k in range(k_lo, k_hi + 1):
                 checks += 1
-                try:
-                    kpp_lo, kpp_hi = bump_kpp_range(p, n, k)
-                except ConsistencyError:
+                kpp_lo, kpp_hi = bump_kpp_range(p, n, k)
+                if kpp_lo > kpp_hi:
                     findings.append(Finding(m, s, l, u, n, k, None, "empty interior-rank window"))
                     continue
                 j = n - 1 - k * u

@@ -26,7 +26,7 @@ from .analysis import (
     payoff_ev,
 )
 from .distribution import GameParams, JointDistribution, joint_distribution
-from .exactnum import to_decimal
+from .exactnum import sqrt_decimal, to_decimal
 from .oracle import compare, exhaustive_distribution, simulate
 
 # Cells of exact probability below this see too few simulated hits for the
@@ -68,10 +68,6 @@ def main() -> None:
 # ==================== dist ====================
 
 
-def _ratio(x: Fraction | None) -> tuple[int, int] | None:
-    return None if x is None else (x.numerator, x.denominator)
-
-
 def _dist_rows(dist: JointDistribution):
     """(n, band, bump, total, band | band, bump | bump) for every stored draw.
 
@@ -92,14 +88,17 @@ def _dist_rows(dist: JointDistribution):
         )
 
 
-def _cell(x: tuple[int, int] | None, digits: int) -> str:
-    return "" if x is None or not x[0] else to_decimal(x, digits)
+def _cell(x: Fraction | tuple[int, int] | None, digits: int) -> str:
+    """A CSV cell: blank for None and for exact zero."""
+    if x is None or (x[0] if isinstance(x, tuple) else x) == 0:
+        return ""
+    return to_decimal(x, digits)
 
 
 def _rat(x: Fraction | tuple[int, int]) -> str:
     """x as the string "num/den" in lowest terms; a (numerator, denominator)
     pair is reduced here, with one gcd."""
-    num, den = _ratio(x) if isinstance(x, Fraction) else x
+    num, den = (x.numerator, x.denominator) if isinstance(x, Fraction) else x
     g = math.gcd(num, den)
     num, den = num // g, den // g
     try:
@@ -111,7 +110,7 @@ def _rat(x: Fraction | tuple[int, int]) -> str:
         return f"{Decimal(num)}/{Decimal(den)}"
 
 
-def _json_value(x: tuple[int, int] | None, digits: int) -> dict | None:
+def _json_value(x: Fraction | tuple[int, int] | None, digits: int) -> dict | None:
     if x is None:
         return None
     return {"exact": _rat(x), "decimal": to_decimal(x, digits)}
@@ -134,20 +133,20 @@ def dist_json(dist: JointDistribution, report: MomentsReport, digits: int) -> di
         if oc.mean is None:
             return None
         return {
-            "mean": _json_value(_ratio(oc.mean), digits),
+            "mean": _json_value(oc.mean, digits),
             "variance": _rat(oc.variance),
-            "sd": oc.sd,
+            "sd": sqrt_decimal(oc.variance, digits),
         }
     return {
         "params": {"m": p.m, "s": p.s, "l": p.l, "u": p.u, "t": p.t, "n_max": p.n_max},
         "digits": digits,
         "rows": rows,
-        "band_marginal": _json_value(_ratio(report.band.marginal), digits),
-        "bump_marginal": _json_value(_ratio(report.bump.marginal), digits),
+        "band_marginal": _json_value(report.band.marginal, digits),
+        "bump_marginal": _json_value(report.bump.marginal, digits),
         "mean_duration": {
-            "overall": _json_value(_ratio(report.mean), digits),
+            "overall": _json_value(report.mean, digits),
             "variance": _rat(report.variance),
-            "sd": report.sd,
+            "sd": sqrt_decimal(report.variance, digits),
             "band": outcome_block(report.band),
             "bump": outcome_block(report.bump),
         },
@@ -167,7 +166,7 @@ def cmd_dist(m: int, s: int, l: int, u: int, digits: int, fmt: str) -> None:
     """Print the joint stopping-draw/outcome table."""
     params = _parse_params(m, s, l, u)
     dist = joint_distribution(params)
-    report = moments(dist, digits)
+    report = moments(dist)
     if fmt == "json":
         click.echo(json.dumps(dist_json(dist, report, digits), indent=2))
         return
@@ -177,9 +176,12 @@ def cmd_dist(m: int, s: int, l: int, u: int, digits: int, fmt: str) -> None:
     writer.writerows((n, *(_cell(x, digits) for x in row)) for n, *row in _dist_rows(dist))
     writer.writerows(
         (
-            ("Outcome probabilities", *(_cell(_ratio(x.marginal), digits) for x in (band, bump)), "", "", ""),
-            ("Mean duration", "", "", *(_cell(_ratio(x), digits) for x in (report.mean, band.mean, bump.mean))),
-            ("Standard deviation", "", "", report.sd, band.sd or "", bump.sd or ""),
+            ("Outcome probabilities", *(_cell(x.marginal, digits) for x in (band, bump)), "", "", ""),
+            ("Mean duration", "", "", *(_cell(x, digits) for x in (report.mean, band.mean, bump.mean))),
+            (
+                "Standard deviation", "", "",
+                *("" if x.variance is None else sqrt_decimal(x.variance, digits) for x in (report, band, bump)),
+            ),
         )
     )
 

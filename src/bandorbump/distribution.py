@@ -142,23 +142,18 @@ class JointDistribution:
 
     numerators holds (n, band, bump) for every n from the first draw with
     mass to the last, explicit zeros in between; P[N = n, band] is band /
-    denominator, and likewise for bump.  The denominator is always
-    ``params.denominator`` = lcm(1, ..., t), so each law has exactly one
+    denominator, and likewise for bump.  The denominator is not stored: it
+    is ``params.denominator`` = lcm(1, ..., t), so each law has exactly one
     representation and ``==`` compares values.  The numerators are
     non-negative and total exactly the denominator.
     """
 
     params: GameParams
     numerators: tuple[tuple[int, int, int], ...]
-    denominator: int
 
     def __post_init__(self) -> None:
         if not self.numerators:
             raise ValueError("a distribution needs at least one row")
-        if self.denominator != self.params.denominator:
-            raise ValueError(
-                f"denominator {self.denominator} is not lcm(1, ..., t) = {self.params.denominator}"
-            )
         first = self.numerators[0][0]
         total = 0
         for i, (n, band, bump) in enumerate(self.numerators):
@@ -169,10 +164,14 @@ class JointDistribution:
             total += band + bump
         if not any(self.numerators[0][1:]) or not any(self.numerators[-1][1:]):
             raise ValueError("the first and last rows must carry mass")
-        if total != self.denominator:
-            raise ConsistencyError(
-                f"total mass is {Fraction(total, self.denominator)}, not 1, for {self.params}"
-            )
+        d = self.denominator
+        if total != d:
+            raise ConsistencyError(f"total mass is {Fraction(total, d)}, not 1, for {self.params}")
+
+    @property
+    def denominator(self) -> int:
+        """lcm(1, ..., t), derived afresh from params on every read."""
+        return self.params.denominator
 
     @property
     def first_n(self) -> int:
@@ -276,7 +275,7 @@ def joint_distribution(params: GameParams) -> JointDistribution:
     cannot leave [0, u]); its one row is over L like every other law.  Every
     l >= 1 runs through the generating-function rows; see ``_gf_rows``.
     """
-    d = params.denominator
     if params.l == 0:
-        return JointDistribution(params, ((1, 0, d) if params.u == 0 else (1, d, 0),), d)
-    return JointDistribution(params, _gf_rows(params), d)
+        d = params.denominator
+        return JointDistribution(params, ((1, 0, d) if params.u == 0 else (1, d, 0),))
+    return JointDistribution(params, _gf_rows(params))

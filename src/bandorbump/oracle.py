@@ -105,7 +105,7 @@ def exhaustive_distribution(params: GameParams, cap: int = 16) -> JointDistribut
     first = min(band.keys() | bump.keys())
     last = max(band.keys() | bump.keys())
     rows = tuple((n, band.get(n, 0), bump.get(n, 0)) for n in range(first, last + 1))
-    return JointDistribution(params, rows, denominator)
+    return JointDistribution(params, rows)
 
 
 @dataclass
@@ -203,13 +203,16 @@ def compare(
 
     Cells with exact probability below min_prob are reported but not scored;
     they are too thin for the normal approximation behind the z statistic.
-    Any simulated hit on a cell of exact probability zero fails outright.
+    Any simulated hit on a cell of exact probability zero fails outright.  A
+    cell whose probability is 0.0 or 1.0 as a float has no spread, so a
+    frequency off it scores z = +-inf.
     """
     if exact.params != empirical.params:
         raise ValueError("distributions describe different parameters")
     trials = empirical.trials
-    if trials == 0:
-        raise ValueError("empirical distribution holds no trials")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    d = exact.denominator
     draws = set(range(exact.first_n, exact.last_n + 1))
     draws.update(n for n, _ in empirical.counts)
     cells = []
@@ -217,7 +220,7 @@ def compare(
     max_abs_z = 0.0
     for n in sorted(draws):
         for outcome in Outcome:
-            p = exact.mass(n, outcome)
+            p = Fraction(exact.numerator(n, outcome), d)
             count = empirical.counts.get((n, outcome), 0)
             if p == 0 and count == 0:
                 continue
@@ -228,8 +231,11 @@ def compare(
             pf = float(p)
             se = math.sqrt(pf * (1.0 - pf) / trials)
             freq = count / trials
-            z = 0.0 if se == 0.0 and freq == pf else (freq - pf) / se
-            scored = pf >= min_prob and se > 0.0
+            if se == 0.0:
+                z = 0.0 if freq == pf else math.copysign(math.inf, freq - pf)
+            else:
+                z = (freq - pf) / se
+            scored = pf >= min_prob
             if scored:
                 max_abs_z = max(max_abs_z, abs(z))
             cells.append(CellCheck(n, outcome, p, count, z, scored))

@@ -21,7 +21,7 @@ from bandorbump.analysis import (
     payoff_ev,
 )
 from bandorbump.distribution import ConsistencyError, GameParams, joint_distribution
-from bandorbump.exactnum import to_decimal
+from bandorbump.exactnum import sqrt_decimal, to_decimal
 
 SUIT_GAME = GameParams(4, 13, 5, 8)
 RANK_GAME = GameParams(13, 4, 1, 3)
@@ -31,11 +31,11 @@ class TestMoments:
     def test_suit_game_published_statistics(self):
         report = moments(joint_distribution(SUIT_GAME))
         assert to_decimal(report.mean, 6) == "23.9151"
-        assert report.sd == "2.33806"
+        assert sqrt_decimal(report.variance, 6) == "2.33806"
         assert to_decimal(report.band.mean, 6) == "23.8664"
-        assert report.band.sd == "2.00364"
+        assert sqrt_decimal(report.band.variance, 6) == "2.00364"
         assert to_decimal(report.bump.mean, 6) == "23.9899"
-        assert report.bump.sd == "2.77314"
+        assert sqrt_decimal(report.bump.variance, 6) == "2.77314"
         assert to_decimal(report.band.marginal, 6) == "0.605984"
         assert to_decimal(report.bump.marginal, 6) == "0.394016"
 
@@ -43,7 +43,6 @@ class TestMoments:
         report = moments(joint_distribution(GameParams(2, 3, 0, 0)))
         assert report.mean == 1
         assert report.variance == 0
-        assert report.sd == "0"
         assert report.bump.mean == 1
         assert report.band.mean is None  # no band mass at all
 
@@ -53,7 +52,6 @@ class TestMoments:
         assert report.bump.marginal == 0
         assert report.bump.mean is None
         assert report.bump.variance is None
-        assert report.bump.sd is None
         assert report.band.marginal == 1
 
     def test_law_of_total_expectation(self):
@@ -74,11 +72,6 @@ class TestMoments:
             Fraction(0),
         )
         assert report.variance == direct
-
-    def test_sig_figs_threads_through(self):
-        report = moments(joint_distribution(SUIT_GAME), sig_figs=3)
-        assert report.sd == "2.34"
-        assert report.sig_figs == 3
 
 
 class TestPayoff:
@@ -323,18 +316,30 @@ class TestNonvacuityMutants:
             p = GameParams(f.m, f.s, f.l, f.u)
             assert f.kpp == real(p, f.n, f.k)[0] - 1, f
 
-    def test_consistency_error_is_an_empty_window_finding(self, monkeypatch):
+    def test_empty_kpp_window_is_a_finding(self, monkeypatch):
         real = analysis.bump_kpp_range
         broken = (GameParams(3, 5, 1, 3), 5, 1)
 
+        def emptied(params, n, k):
+            return (1, 0) if (params, n, k) == broken else real(params, n, k)
+
+        monkeypatch.setattr(analysis, "bump_kpp_range", emptied)
+        report = nonvacuity_scan((2, 4), (2, 6))
+        assert report.findings == (Finding(3, 5, 1, 3, 5, 1, None, "empty interior-rank window"),)
+
+    def test_consistency_error_is_never_swallowed(self, monkeypatch):
+        # ConsistencyError means the engine is wrong; the scan must not turn
+        # it into a finding.
+        real = analysis.bump_kpp_range
+
         def raising(params, n, k):
-            if (params, n, k) == broken:
+            if (params, n, k) == (GameParams(3, 5, 1, 3), 5, 1):
                 raise ConsistencyError("forced")
             return real(params, n, k)
 
         monkeypatch.setattr(analysis, "bump_kpp_range", raising)
-        report = nonvacuity_scan((2, 4), (2, 6))
-        assert report.findings == (Finding(3, 5, 1, 3, 5, 1, None, "empty interior-rank window"),)
+        with pytest.raises(ConsistencyError, match="forced"):
+            nonvacuity_scan((2, 4), (2, 6))
 
     def test_empty_k_range_is_a_finding(self, monkeypatch):
         monkeypatch.setattr(analysis, "bump_k_range", lambda params, n: (1, 0))

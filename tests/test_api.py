@@ -1,5 +1,10 @@
+import dataclasses
+import inspect
+import re
+from pathlib import Path
+
 import bandorbump
-from bandorbump import distribution, exactnum, hypergeom
+from bandorbump import analysis, cli, distribution, exactnum, hypergeom
 
 SUPPORTED = [
     "CellCheck",
@@ -79,3 +84,21 @@ def test_hypergeom_keeps_the_polynomial_helpers():
     # The benchmark's span recorder imports this module by name.
     assert hypergeom.window_poly(3, 1, 2) == [0, 3, 3]
     assert hypergeom.truncated_product([1, 1], [1, 1], 1) == [1, 2]
+
+
+def test_each_decision_lives_in_one_module():
+    # The law's denominator comes from its deck alone.
+    fields = dataclasses.fields(distribution.JointDistribution)
+    assert tuple(f.name for f in fields) == ("params", "numerators")
+    # moments returns exact values; only the CLI makes decimal text.
+    assert "sig_figs" not in inspect.signature(analysis.moments).parameters
+    for report in (analysis.MomentsReport, analysis.OutcomeMoments):
+        assert "sd" not in {f.name for f in dataclasses.fields(report)}, report
+        assert not hasattr(report, "sd"), report
+    for gone in ("sqrt_decimal", "ConsistencyError"):
+        assert not hasattr(analysis, gone), gone
+    assert not hasattr(cli, "_ratio")
+    # Only the engine and the oracles raise ConsistencyError, and no code in
+    # the package catches it.
+    for path in Path(bandorbump.__file__).parent.glob("*.py"):
+        assert not re.search(r"except\b[^:]*ConsistencyError", path.read_text()), path.name

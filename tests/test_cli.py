@@ -74,6 +74,7 @@ class TestDistCsv:
         )
         rows = list(csv.reader(io.StringIO(proc.stdout)))
         assert rows[1][1] == "0.600"
+        assert proc.stdout.splitlines()[-1] == "Standard deviation,,,0.490,0.471,0"
 
     def test_invalid_params_exit_2(self):
         proc = run_cli("dist", "-m", "2", "-s", "3", "-l", "2", "-u", "1")
@@ -271,7 +272,7 @@ class TestVerify:
             (n, band, bump + {5: -720, 8: 720}.get(n, 0)) for n, band, bump in law.numerators
         )
         assert law.denominator == 720720
-        reference = JointDistribution(params, moved, law.denominator)
+        reference = JointDistribution(params, moved)
         monkeypatch.setattr(cli, "exhaustive_distribution", lambda params, cap: reference)
         result = CliRunner().invoke(cli.main, ["verify", "-m", "4", "-s", "4", "-l", "1", "-u", "3"])
         assert result.exit_code == 1

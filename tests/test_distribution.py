@@ -79,45 +79,29 @@ class TestJointDistributionContainer:
 
     def test_gap_rejected(self):
         with pytest.raises(ValueError, match="gap before n=3"):
-            JointDistribution(TINY, ((1, 30, 0), (3, 30, 0)), 60)
+            JointDistribution(TINY, ((1, 30, 0), (3, 30, 0)))
 
     def test_negative_mass_rejected(self):
         with pytest.raises(ValueError, match="negative mass at n=1"):
-            JointDistribution(TINY, ((1, 61, -1),), 60)
+            JointDistribution(TINY, ((1, 61, -1),))
 
     def test_total_off_one_rejected(self):
         with pytest.raises(ConsistencyError, match="total mass is 1/2, not 1"):
-            JointDistribution(TINY, ((1, 30, 0),), 60)
+            JointDistribution(TINY, ((1, 30, 0),))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            JointDistribution(TINY, (), 60)
+            JointDistribution(TINY, ())
 
-    def test_non_positive_denominator_rejected(self):
-        with pytest.raises(ValueError):
-            JointDistribution(TINY, ((1, 0, 0),), 0)
-
-    @pytest.mark.parametrize(
-        "rows, denominator",
-        [
-            (((2, 6, 0), (3, 3, 1)), 10),
-            (((2, 18, 0), (3, 9, 3)), 30),
-            (((2, 72, 0), (3, 36, 12)), 120),
-        ],
-    )
-    def test_denominator_other_than_the_lcm_rejected(self, rows, denominator):
-        # TINY's law, ((2, 36, 0), (3, 18, 6)) over 60, written over another
-        # denominator: same values, but only lcm(1, ..., t) is accepted
-        assert joint_distribution(TINY).numerators == ((2, 36, 0), (3, 18, 6))
-        with pytest.raises(ValueError, match=r"not lcm\(1, \.\.\., t\) = 60$"):
-            JointDistribution(TINY, rows, denominator)
-
-    def test_l_zero_law_over_one_rejected(self):
-        # the one-row l = 0 law is written over lcm(1, ..., t) as well
+    def test_every_law_is_over_the_lcm(self):
+        # the denominator is derived from params, never stored: the l = 0,
+        # generating-function and DP laws all report lcm(1, ..., t)
         params = GameParams(2, 3, 0, 2)
-        assert joint_distribution(params) == JointDistribution(params, ((1, 60, 0),), 60)
-        with pytest.raises(ValueError, match="denominator 1 is not lcm"):
-            JointDistribution(params, ((1, 1, 0),), 1)
+        assert joint_distribution(params) == JointDistribution(params, ((1, 60, 0),))
+        for law in (joint_distribution(params), joint_distribution(TINY), exhaustive_distribution(TINY)):
+            assert law.denominator == math.lcm(*range(1, law.params.t + 1)) == 60
+        law = joint_distribution(SUIT_GAME)
+        assert law.denominator == SUIT_GAME.denominator == math.lcm(*range(1, 53))
 
     @pytest.mark.parametrize("end", ["first", "last"])
     def test_end_row_without_mass_rejected(self, end):
@@ -128,7 +112,7 @@ class TestJointDistributionContainer:
         else:
             rows = rows + ((dist.last_n + 1, 0, 0),)
         with pytest.raises(ValueError, match="the first and last rows must carry mass"):
-            JointDistribution(TINY, rows, dist.denominator)
+            JointDistribution(TINY, rows)
 
     def test_mass_lookup_zero_fills(self):
         dist = joint_distribution(TINY)

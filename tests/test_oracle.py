@@ -257,6 +257,35 @@ class TestCompare:
         assert scored
         assert report.max_abs_z == max(abs(c.z) for c in scored)
 
+    def test_certain_cell_off_its_frequency_fails(self):
+        # l = 0 bands at the first card with probability 1; a float p of 1.0
+        # has no spread, so a frequency off it scores z = -inf
+        params = GameParams(2, 3, 0, 2)
+        exact = joint_distribution(params)
+        emp = EmpiricalDistribution(
+            params, 10, 0, Counter({(1, Outcome.BAND): 5, (2, Outcome.BAND): 5})
+        )
+        report = compare(exact, emp)
+        assert not report.passed
+        assert report.impossible == 1
+        certain = report.cells[0]
+        assert (certain.n, certain.expected, certain.z, certain.scored) == (1, 1, -math.inf, True)
+        assert report.max_abs_z == math.inf
+
+    def test_certain_cell_on_its_frequency_passes(self):
+        params = GameParams(2, 3, 0, 2)
+        emp = EmpiricalDistribution(params, 10, 0, Counter({(1, Outcome.BAND): 10}))
+        report = compare(joint_distribution(params), emp)
+        assert report.passed
+        assert [(c.z, c.scored) for c in report.cells] == [(0.0, True)]
+
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_non_positive_trials_rejected(self, trials):
+        params = GameParams(2, 2, 1, 1)
+        emp = EmpiricalDistribution(params, trials, 0, Counter())
+        with pytest.raises(ValueError, match=f"^trials must be >= 1, got {trials}$"):
+            compare(joint_distribution(params), emp)
+
     def test_realistic_run_passes(self):
         params = GameParams(2, 3, 1, 2)
         exact = joint_distribution(params)
