@@ -60,9 +60,29 @@ def game_options(fn):
     return fn
 
 
+class _Command(click.Command):
+    """A command whose short options also match on the long-option lookup.
+
+    click's parser tries every option token as a long option first. A miss
+    builds a `NoSuchOption`, whose "did you mean" suggestions import
+    `difflib` (several ms, most of a small command's cold cost), before it
+    falls back to the short options. Registering `-m`, `-s`, `-l` and `-u`
+    in the long table makes them match at once; it also reads `-m=13` as
+    `-m 13`.
+    """
+
+    def make_parser(self, ctx: click.Context):
+        parser = super().make_parser(ctx)
+        parser._long_opt.update(parser._short_opt)
+        return parser
+
+
 @click.group()
 def main() -> None:
     """Exact stopping-time and outcome distributions for band-or-bump deals."""
+
+
+main.command_class = _Command
 
 
 # ==================== dist ====================

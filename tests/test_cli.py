@@ -402,6 +402,68 @@ class TestPayoff:
         assert proc.returncode == 2
 
 
+_NO_DIFFLIB = """
+import sys
+from bandorbump import cli
+game = ["-m", "2", "-s", "3", "-l", "1", "-u", "2"]
+for args in (["dist", *game], ["verify", *game], ["payoff", *game, "--band", "1", "--bump", "0"]):
+    try:
+        cli.main(args, standalone_mode=False)
+    except SystemExit as exc:
+        assert exc.code == 0, (args, exc.code)
+assert "difflib" not in sys.modules, "a game option missed click's long-option lookup"
+"""
+
+
+class TestOptionParsing:
+    GAME = ("-m", "13", "-s", "4", "-l", "1", "-u", "3")
+
+    def test_game_options_never_import_difflib(self):
+        # A fresh interpreter: pytest itself has imported difflib.
+        proc = subprocess.run(
+            [sys.executable, "-c", _NO_DIFFLIB], capture_output=True, text=True, timeout=TIMEOUT
+        )
+        assert proc.returncode == 0, proc.stderr
+        # A real typo still gets click's suggestion.
+        proc = run_cli("dist", "--digit", "5", "-m", "2", "-s", "3", "-l", "1", "-u", "2")
+        assert proc.returncode == 2
+        assert "Did you mean '--digits'?" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("-m13", "-s4", "-l1", "-u3"),
+            ("-m", "7", "-m", "13", "-s", "4", "-l", "1", "-u", "3"),
+            # -m=13 reads as -m 13; the short-option parser would take "=13".
+            ("-m=13", "-s", "4", "-l", "1", "-u", "3"),
+        ],
+        ids=["attached", "repeated", "equals"],
+    )
+    def test_spellings_of_one_deck(self, args):
+        expected = CliRunner().invoke(cli.main, ["dist", *self.GAME])
+        result = CliRunner().invoke(cli.main, ["dist", *args])
+        assert expected.exit_code == result.exit_code == 0
+        assert result.output == expected.output
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("dist", "-s", "4", "-l", "1", "-u", "3", "-m"), "Option '-m' requires an argument."),
+            (("dist", "-x", "1", *GAME), "No such option '-x'.\n"),
+            (("dist", "-ms", "13", "4", "-l", "1", "-u", "3"), "Invalid value for '-m': 's' is not a valid integer."),
+            (
+                ("verify", "-m", "2", "-s", "3", "-l", "1", "-u", "2", "--oracle-cap=-1"),
+                "Invalid value for '--oracle-cap': -1 is not in the range x>=0.",
+            ),
+        ],
+        ids=["bare", "unknown", "bundled", "long-equals"],
+    )
+    def test_malformed_spellings_exit_2(self, args, message):
+        result = CliRunner().invoke(cli.main, list(args))
+        assert result.exit_code == 2
+        assert message in result.output
+
+
 class TestEntryPoints:
     def test_module_help(self):
         proc = run_cli("--help", check=True)
