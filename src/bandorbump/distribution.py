@@ -75,6 +75,7 @@ in ``oracle``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -125,9 +126,9 @@ class GameParams:
         """Latest draw at which play can still be running: l + (m - 1) * u."""
         return self.l + (self.m - 1) * self.u
 
-    @property
+    @functools.cached_property
     def denominator(self) -> int:
-        """L = lcm(1, ..., t), the one denominator of every law of this deck."""
+        """L = lcm(1, ..., t), the one denominator of every law of this deck, computed on first read."""
         return math.lcm(*range(1, self.t + 1))
 
     @property
@@ -170,7 +171,7 @@ class JointDistribution:
 
     @property
     def denominator(self) -> int:
-        """lcm(1, ..., t), derived afresh from params on every read."""
+        """lcm(1, ..., t), read from params, which computes it once."""
         return self.params.denominator
 
     @property

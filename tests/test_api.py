@@ -74,10 +74,14 @@ def test_reference_forms_live_in_the_tests():
 
 
 def test_exactnum_rounds_with_the_decimal_module():
-    # One correctly rounded decimal division replaces the hand-rolled
-    # exponent estimate, scaling, rounding and point placement.
+    # The decimal module's half-even rounding, applied once to a short
+    # integer with a sticky digit, replaces the hand-rolled exponent
+    # estimate, scaling, rounding and point placement.  It is the only
+    # rounding mode: no other mode is imported and no helper takes one.
     for gone in ("_LOG10_2_NUM", "_LOG10_2_DEN", "_floor_log10", "_scale", "_round_half_even", "_place_point"):
         assert not hasattr(exactnum, gone), gone
+    assert not hasattr(exactnum, "ROUND_FLOOR")
+    assert list(inspect.signature(exactnum._context).parameters) == ["prec"]
 
 
 def test_hypergeom_keeps_the_polynomial_helpers():

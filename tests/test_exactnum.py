@@ -1,5 +1,6 @@
 import decimal
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,16 @@ class TestMultinomial:
                     assert multinomial(m, (k, kp, kpp)) == binomial(m, k) * binomial(m - k, kpp)
 
 
+def _printed_value(rendered, sig):
+    """The exact value of a rendering, which must show exactly sig significant figures."""
+    whole, _, frac = rendered.lstrip("-").partition(".")
+    # Exactly sig significant figures; an integer may pad with zeros.
+    figures = (whole + frac).lstrip("0")
+    significand = figures.rstrip("0")
+    assert len(figures) == sig or (not frac and len(significand) <= sig < len(figures))
+    return int(significand) * Fraction(10) ** (len(figures) - len(significand) - len(frac))
+
+
 def _assert_correctly_rounded(x, sig):
     """to_decimal(x, sig) is x rounded half to even to sig figures.
 
@@ -84,15 +95,10 @@ def _assert_correctly_rounded(x, sig):
         assert rendered == "0"
         return
     assert rendered.startswith("-") == (x < 0)
-    whole, _, frac = rendered.lstrip("-").partition(".")
-    # Exactly sig significant figures; an integer may pad with zeros.
-    figures = (whole + frac).lstrip("0")
-    significand = figures.rstrip("0")
-    assert len(figures) == sig or (not frac and len(significand) <= sig < len(figures))
-    r = int(significand) * Fraction(10) ** (len(figures) - len(significand) - len(frac))
+    r = _printed_value(rendered, sig)
     x = abs(x)
     # floor(log10 x), from a rough start that the two loops correct.
-    e = (x.numerator.bit_length() - x.denominator.bit_length()) * 3 // 10
+    e = (x.numerator.bit_length() - x.denominator.bit_length()) * 30103 // 100000
     while Fraction(10) ** e > x:
         e -= 1
     while Fraction(10) ** (e + 1) <= x:
@@ -102,6 +108,31 @@ def _assert_correctly_rounded(x, sig):
     assert (r / ulp).denominator == 1, (rendered, x)
     assert abs(r - x) <= ulp / 2, (rendered, x)
     if abs(r - x) == ulp / 2:
+        assert (r / ulp).numerator % 2 == 0, (rendered, x)
+
+
+def _assert_sqrt_correctly_rounded(x, sig):
+    """sqrt_decimal(x, sig) is sqrt(x) rounded half to even to sig figures.
+
+    Checked in exact rationals, like _assert_correctly_rounded: r is within
+    half an ulp of sqrt(x) iff (r - ulp/2)**2 <= x <= (r + ulp/2)**2.
+    """
+    rendered = sqrt_decimal(x, sig)
+    if x == 0:
+        assert rendered == "0"
+        return
+    r = _printed_value(rendered, sig)
+    # floor(log10 sqrt(x)): 10**(2e) <= x < 10**(2e + 2).
+    e = (x.numerator.bit_length() - x.denominator.bit_length()) * 30103 // 200000
+    while Fraction(10) ** (2 * e) > x:
+        e -= 1
+    while Fraction(10) ** (2 * e + 2) <= x:
+        e += 1
+    ulp = Fraction(10) ** (e - sig + 1)
+    below, above = (r - ulp / 2) ** 2, (r + ulp / 2) ** 2
+    assert (r / ulp).denominator == 1, (rendered, x)
+    assert below <= x <= above, (rendered, x)
+    if x in (below, above):
         assert (r / ulp).numerator % 2 == 0, (rendered, x)
 
 
@@ -149,9 +180,10 @@ class TestToDecimal:
     )
     def test_matches_decimal_module(self, num, den, sig):
         # to_decimal must print the value of a decimal division at the same
-        # precision and rounding mode.  That is how it rounds, so this checks
-        # the printing only; test_correctly_rounded_in_exact_fractions checks
-        # the rounding without the decimal module.
+        # precision and rounding mode.  to_decimal divides in integers and
+        # never in decimal, so the division is an independent reference;
+        # test_correctly_rounded_in_exact_fractions checks the rounding
+        # without the decimal module.
         f = Fraction(num, den)
         got = to_decimal(f, sig)
         ctx = decimal.Context(prec=sig, rounding=decimal.ROUND_HALF_EVEN)
@@ -169,6 +201,8 @@ class TestToDecimal:
     )
     @example(num=5, den=2, sig=1)  # 2.5: a tie, to the even 2
     @example(num=-35, den=100, sig=1)  # -0.35: a tie, to the even -0.4
+    @example(num=2500001, den=10**7, sig=1)  # just past a tie, to 0.3
+    @example(num=-3499999, den=10**7, sig=1)  # just short of a tie, to -0.3
     @example(num=999, den=1000, sig=2)  # a carry to 1.0
     # Either side of a power of ten, far from 1 and by a relative 1e-40.
     @example(num=10**70 - 1, den=10**40, sig=1)
@@ -244,6 +278,23 @@ class TestSqrtDecimal:
         assert (approx - h) ** 2 <= f
         assert f <= (approx + h) ** 2
 
+    @given(
+        num=st.integers(min_value=0, max_value=10**30),
+        den=st.one_of(
+            st.integers(min_value=1, max_value=10**30),
+            # finite decimals, whose square roots can be exact ties
+            st.builds(lambda a, b: 2**a * 5**b, st.integers(0, 40), st.integers(0, 40)),
+        ),
+        sig=st.integers(min_value=1, max_value=25),
+    )
+    @example(num=9, den=4, sig=1)  # sqrt = 1.5: a tie, to the even 2
+    @example(num=1225, den=10000, sig=1)  # sqrt = 0.35: a tie, to the even 0.4
+    @example(num=62501, den=10000, sig=1)  # sqrt = 2.50002: just past a tie, to 3
+    @example(num=99, den=1, sig=1)  # sqrt = 9.949...: a carry to 10
+    @example(num=10**30 - 1, den=10**10, sig=3)  # just below 10**10: a carry to 1.00e10
+    def test_correctly_rounded_in_exact_fractions(self, num, den, sig):
+        _assert_sqrt_correctly_rounded(Fraction(num, den), sig)
+
 
 
 def _near_powers_of_ten():
@@ -297,8 +348,29 @@ class TestLongIntegers:
             x = Fraction(2) ** (sign * j)
             assert to_decimal(x, 8) == _rounded(x, 8), j
             _assert_correctly_rounded(x, 8)
+            assert sqrt_decimal(x * x, 8) == to_decimal(x, 8), j
+            _assert_sqrt_correctly_rounded(x * x, 8)
         for k in range(30_101, 30_106):
             power = Fraction(10) ** (sign * k)
             for x in (power, power - power / 10**40, power + power / 10**40):
                 assert to_decimal(x, 3) == _rounded(x, 3), (k, x > power)
                 _assert_correctly_rounded(x, 3)
+
+
+class TestCost:
+    def test_linear_in_the_denominator_bits(self):
+        # A probability over lcm(1, ..., t) has about 1.44 t bits.  Rendering
+        # 100 cells at t = 8000 must cost about as much as at t = 1000, not the
+        # 64 times of a conversion quadratic in the bit length.
+        def best_of_five(t):
+            den = math.lcm(*range(1, t + 1))
+            cells = [(den * i // 101, den) for i in range(1, 101)]
+            best = math.inf
+            for _ in range(5):
+                start = time.perf_counter()
+                for cell in cells:
+                    to_decimal(cell)
+                best = min(best, time.perf_counter() - start)
+            return best
+
+        assert best_of_five(8000) < 8 * best_of_five(1000)
