@@ -2,7 +2,6 @@
 
 from .analysis import (
     Finding,
-    LogConcavityResult,
     MomentsReport,
     OutcomeMoments,
     PayoffSpec,
@@ -41,7 +40,6 @@ __all__ = [
     "Finding",
     "GameParams",
     "JointDistribution",
-    "LogConcavityResult",
     "MomentsReport",
     "Outcome",
     "OutcomeMoments",

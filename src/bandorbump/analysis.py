@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .distribution import GameParams, JointDistribution, Outcome, joint_distribution
 from .hypergeom import truncated_product, window_poly
@@ -31,8 +30,7 @@ from .hypergeom import truncated_product, window_poly
 # ==================== moments ====================
 
 
-@dataclass(frozen=True)
-class OutcomeMoments:
+class OutcomeMoments(NamedTuple):
     """Moments of the stopping draw restricted to one outcome.
 
     mean and variance are None when the outcome has no mass; the marginal of
@@ -44,8 +42,7 @@ class OutcomeMoments:
     variance: Fraction | None
 
 
-@dataclass(frozen=True)
-class MomentsReport:
+class MomentsReport(NamedTuple):
     mean: Fraction
     variance: Fraction
     band: OutcomeMoments
@@ -94,8 +91,7 @@ _MAX_STAKE_EXPONENT = 10_000
 _EXPONENT = re.compile(r"[eE][-+]?(\d+)")
 
 
-@dataclass(frozen=True)
-class PayoffSpec:
+class PayoffSpec(NamedTuple):
     """Stakes per outcome, exact.  Positive favours the player."""
 
     band: Fraction
@@ -122,17 +118,13 @@ def payoff_ev(dist: JointDistribution, payoff: PayoffSpec) -> Fraction:
 # ==================== log-concavity ====================
 
 
-@dataclass(frozen=True)
-class LogConcavityResult:
-    """ok means: support is a block of consecutive indices and
-    seq[i-1] * seq[i+1] <= seq[i]**2 holds at every interior index."""
+def log_concavity(seq: Sequence[Fraction | int]) -> tuple[int, ...]:
+    """Exact log-concavity check: the sorted indices into seq where it fails.
 
-    ok: bool
-    violations: tuple[int, ...]
-
-
-def log_concavity(seq: Sequence[Fraction | int]) -> LogConcavityResult:
-    """Exact log-concavity check; violation indices point into seq."""
+    The sequence is log-concave, and the tuple empty, when its support is a
+    block of consecutive indices and seq[i-1] * seq[i+1] <= seq[i]**2 holds
+    at every interior index.
+    """
     values = list(seq)
     if any(v < 0 for v in values):
         raise ValueError("log-concavity is defined here for non-negative sequences")
@@ -145,14 +137,13 @@ def log_concavity(seq: Sequence[Fraction | int]) -> LogConcavityResult:
     for i in range(1, len(values) - 1):
         if values[i - 1] * values[i + 1] > values[i] ** 2:
             bad.add(i)
-    return LogConcavityResult(ok=not bad, violations=tuple(sorted(bad)))
+    return tuple(sorted(bad))
 
 
 # ==================== parameter-grid scans ====================
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     """One counterexample or conjecture hit located by a scan."""
 
     m: int
@@ -165,8 +156,7 @@ class Finding:
     note: str
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     kind: str
     m_range: tuple[int, int]
     s_range: tuple[int, int]
@@ -179,15 +169,7 @@ class ScanReport:
         return not self.findings
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "m_range": list(self.m_range),
-            "s_range": list(self.s_range),
-            "cells": self.cells,
-            "checks": self.checks,
-            "findings": [asdict(f) for f in self.findings],
-            "ok": self.ok,
-        }
+        return {**self._asdict(), "findings": [f._asdict() for f in self.findings], "ok": self.ok}
 
 
 def _require_general(params: GameParams) -> None:
@@ -309,8 +291,7 @@ def _logconcavity_scan(
         # Numerators over one denominator: a common scale leaves log-concavity as it is.
         seq = [dist.numerator(n, outcome) for n in range(first, p.n_max + 1)]
         checks += max(len(seq) - 2, 0)
-        result = log_concavity(seq)
-        for i in result.violations:
+        for i in log_concavity(seq):
             findings.append(
                 Finding(p.m, p.s, p.l, p.u, first + i, None, None, f"{outcome.value} log-concavity violated")
             )

@@ -33,8 +33,8 @@ import hashlib
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .distribution import ConsistencyError, GameParams, JointDistribution, Outcome
 
@@ -108,8 +108,7 @@ def exhaustive_distribution(params: GameParams, cap: int = 16) -> JointDistribut
     return JointDistribution(params, rows)
 
 
-@dataclass
-class EmpiricalDistribution:
+class EmpiricalDistribution(NamedTuple):
     """Outcome tallies from simulated deals."""
 
     params: GameParams
@@ -169,8 +168,7 @@ def simulate(params: GameParams, trials: int, seed: int = 0) -> EmpiricalDistrib
     return EmpiricalDistribution(params, trials, seed, counts)
 
 
-@dataclass(frozen=True)
-class CellCheck:
+class CellCheck(NamedTuple):
     """One (n, outcome) cell of an exact-vs-empirical comparison."""
 
     n: int
@@ -181,12 +179,7 @@ class CellCheck:
     scored: bool  # whether the cell enters the pass/fail decision
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    params: GameParams
-    trials: int
-    z_threshold: float
-    min_prob: float
+class ComparisonReport(NamedTuple):
     cells: tuple[CellCheck, ...]
     max_abs_z: float
     impossible: int  # cells the exact law forbids but the simulation hit
@@ -240,13 +233,4 @@ def compare(
                 max_abs_z = max(max_abs_z, abs(z))
             cells.append(CellCheck(n, outcome, p, count, z, scored))
     passed = impossible == 0 and max_abs_z < z_threshold
-    return ComparisonReport(
-        params=exact.params,
-        trials=trials,
-        z_threshold=z_threshold,
-        min_prob=min_prob,
-        cells=tuple(cells),
-        max_abs_z=max_abs_z,
-        impossible=impossible,
-        passed=passed,
-    )
+    return ComparisonReport(tuple(cells), max_abs_z, impossible, passed)

@@ -4,7 +4,7 @@ import re
 from pathlib import Path
 
 import bandorbump
-from bandorbump import analysis, cli, distribution, exactnum, hypergeom
+from bandorbump import analysis, cli, distribution, exactnum, hypergeom, oracle
 
 SUPPORTED = [
     "CellCheck",
@@ -14,7 +14,6 @@ SUPPORTED = [
     "Finding",
     "GameParams",
     "JointDistribution",
-    "LogConcavityResult",
     "MomentsReport",
     "Outcome",
     "OutcomeMoments",
@@ -90,6 +89,26 @@ def test_hypergeom_keeps_the_polynomial_helpers():
     assert hypergeom.truncated_product([1, 1], [1, 1], 1) == [1, 2]
 
 
+def test_only_the_law_types_are_dataclasses():
+    # A type is a dataclass only where it validates; every other result is a
+    # named tuple of what its producer computed.
+    types = [getattr(bandorbump, name) for name in bandorbump.__all__]
+    types = [t for t in types if isinstance(t, type)]
+    assert {t.__name__ for t in types if dataclasses.is_dataclass(t)} == {"GameParams", "JointDistribution"}
+    records = {t.__name__ for t in types if issubclass(t, tuple)}
+    assert records == {
+        "CellCheck", "ComparisonReport", "EmpiricalDistribution", "Finding",
+        "MomentsReport", "OutcomeMoments", "PayoffSpec", "ScanReport",
+    }
+    # A record compares equal to the plain tuple of its values and unpacks.
+    band, bump = analysis.PayoffSpec.parse("1", "-2")
+    assert analysis.PayoffSpec(band, bump) == (1, -2)
+    # log_concavity returns its violations; ok was their emptiness.
+    assert not hasattr(analysis, "LogConcavityResult")
+    # compare's own arguments are not echoed back.
+    assert oracle.ComparisonReport._fields == ("cells", "max_abs_z", "impossible", "passed")
+
+
 def test_each_decision_lives_in_one_module():
     # The law's denominator comes from its deck alone.
     fields = dataclasses.fields(distribution.JointDistribution)
@@ -97,7 +116,7 @@ def test_each_decision_lives_in_one_module():
     # moments returns exact values; only the CLI makes decimal text.
     assert "sig_figs" not in inspect.signature(analysis.moments).parameters
     for report in (analysis.MomentsReport, analysis.OutcomeMoments):
-        assert "sd" not in {f.name for f in dataclasses.fields(report)}, report
+        assert "sd" not in report._fields, report
         assert not hasattr(report, "sd"), report
     for gone in ("sqrt_decimal", "ConsistencyError"):
         assert not hasattr(analysis, gone), gone
