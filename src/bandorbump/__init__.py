@@ -6,7 +6,6 @@ from .analysis import (
     OutcomeMoments,
     PayoffSpec,
     ScanReport,
-    band_logconcavity_scan,
     bump_logconcavity_scan,
     log_concavity,
     moments,
@@ -45,7 +44,6 @@ __all__ = [
     "OutcomeMoments",
     "PayoffSpec",
     "ScanReport",
-    "band_logconcavity_scan",
     "bump_logconcavity_scan",
     "compare",
     "exhaustive_distribution",

@@ -5,15 +5,16 @@ Fractions.  No text is made here; the command line renders the standard
 deviation, an irrational square root, as a correctly rounded decimal from the
 exact variance.
 
-The scans sweep parameter grids for structural properties of the law: that
-every term of the paper's bump sum is strictly positive wherever its index
-ranges (``bump_k_range``, ``bump_kpp_range``) admit it, and that the
-per-outcome mass sequences are log-concave.  The
-non-vacuity scan reads each term's count of deals as one coefficient of a
-product of two generating-function powers, built once per cell.  Band
-log-concavity is a theorem and a violation would mean an engine bug; bump
-log-concavity is an open conjecture, so scan hits there are findings to
-report, not failures.
+The scans sweep the paper's general case, 0 < l < u < s, over parameter
+grids; this module alone knows that case.  They check that every term of the
+paper's bump sum is strictly positive wherever its index ranges
+(``bump_k_range``, ``bump_kpp_range``) admit it, and whether the bump mass
+sequences are log-concave.  The non-vacuity scan reads each term's count of
+deals as one coefficient of a product of two generating-function powers,
+built once per cell.  Bump log-concavity is an open conjecture, so scan hits
+there are findings to report, not failures.  Band log-concavity is a
+theorem, and a violation would mean an engine bug; the tests check it on the
+same grids.
 """
 
 from __future__ import annotations
@@ -173,7 +174,8 @@ class ScanReport(NamedTuple):
 
 
 def _require_general(params: GameParams) -> None:
-    if not params.is_general:
+    # The paper's general case, 0 < l < u < s: no window edge at 0 or s, and l != u.
+    if not 0 < params.l < params.u < params.s:
         raise ValueError(
             f"parameters l={params.l}, u={params.u}, s={params.s} are a boundary "
             "configuration; use joint_distribution, which covers it"
@@ -200,11 +202,10 @@ def bump_kpp_range(params: GameParams, n: int, k: int) -> tuple[int, int]:
     (kpp_lo > kpp_hi) is returned as it is, like bump_k_range's, and the
     non-vacuity scan reports it as a finding.
     """
-    _require_general(params)
+    k_lo, k_hi = bump_k_range(params, n)  # refuses a boundary cell first
     m, l, u = params.m, params.l, params.u
     if not (u + 1 <= n <= params.n_max):
         raise ValueError(f"n={n} outside bump support [{u + 1}, {params.n_max}]")
-    k_lo, k_hi = bump_k_range(params, n)
     if not (k_lo <= k <= k_hi):
         raise ValueError(f"k={k} outside admissible range [{k_lo}, {k_hi}] at n={n}")
     n_k = n - 1 - k * u
@@ -275,41 +276,24 @@ def nonvacuity_scan(
     return ScanReport("nonvacuity", m_range, s_range, cells, checks, tuple(findings))
 
 
-def _logconcavity_scan(
-    kind: str,
-    outcome: Outcome,
-    m_range: tuple[int, int],
-    s_range: tuple[int, int],
+def bump_logconcavity_scan(
+    m_range: tuple[int, int] = (2, 8), s_range: tuple[int, int] = (2, 8)
 ) -> ScanReport:
+    """Bump mass sequences over the grid, from u + 1 to n_max: log-concavity is conjectured only.
+
+    Findings from this scan are research observations, not engine errors.
+    """
     cells = 0
     checks = 0
     findings: list[Finding] = []
     for p in _general_grid(m_range, s_range):
         cells += 1
         dist = joint_distribution(p)
-        first = p.m * p.l if outcome is Outcome.BAND else p.u + 1
         # Numerators over one denominator: a common scale leaves log-concavity as it is.
-        seq = [dist.numerator(n, outcome) for n in range(first, p.n_max + 1)]
+        seq = [dist.numerator(n, Outcome.BUMP) for n in range(p.u + 1, p.n_max + 1)]
         checks += max(len(seq) - 2, 0)
         for i in log_concavity(seq):
             findings.append(
-                Finding(p.m, p.s, p.l, p.u, first + i, None, None, f"{outcome.value} log-concavity violated")
+                Finding(p.m, p.s, p.l, p.u, p.u + 1 + i, None, None, "bump log-concavity violated")
             )
-    return ScanReport(kind, m_range, s_range, cells, checks, tuple(findings))
-
-
-def band_logconcavity_scan(
-    m_range: tuple[int, int] = (2, 8), s_range: tuple[int, int] = (2, 8)
-) -> ScanReport:
-    """Band mass sequences over the grid: log-concavity here is a theorem."""
-    return _logconcavity_scan("band-logconcavity", Outcome.BAND, m_range, s_range)
-
-
-def bump_logconcavity_scan(
-    m_range: tuple[int, int] = (2, 8), s_range: tuple[int, int] = (2, 8)
-) -> ScanReport:
-    """Bump mass sequences over the grid: log-concavity is conjectured only.
-
-    Findings from this scan are research observations, not engine errors.
-    """
-    return _logconcavity_scan("bump-logconcavity", Outcome.BUMP, m_range, s_range)
+    return ScanReport("bump-logconcavity", m_range, s_range, cells, checks, tuple(findings))

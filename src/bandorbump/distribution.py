@@ -131,11 +131,6 @@ class GameParams:
         """L = lcm(1, ..., t), the one denominator of every law of this deck, computed on first read."""
         return math.lcm(*range(1, self.t + 1))
 
-    @property
-    def is_general(self) -> bool:
-        """True when 0 < l < u < s: no window edge sits at 0 or s and l != u."""
-        return 0 < self.l < self.u < self.s
-
 
 @dataclass(frozen=True)
 class JointDistribution:

@@ -113,7 +113,6 @@ class EmpiricalDistribution(NamedTuple):
 
     params: GameParams
     trials: int
-    seed: int
     counts: Counter[tuple[int, Outcome]]
 
 
@@ -165,7 +164,7 @@ def simulate(params: GameParams, trials: int, seed: int = 0) -> EmpiricalDistrib
             raise ConsistencyError(f"deal ran through the whole deck for {params}")
         if n > latest:
             raise ConsistencyError(f"deal stopped at draw {n} > {latest} for {params}")
-    return EmpiricalDistribution(params, trials, seed, counts)
+    return EmpiricalDistribution(params, trials, counts)
 
 
 class CellCheck(NamedTuple):

@@ -13,6 +13,9 @@ last-card chance, and the two boundary cases u = s (no bump) and l = u (a
 band only at the last possible draw).  The engine in ``bandorbump`` builds
 every row from generating-function powers instead; the tests hold its rows
 equal to these forms.
+
+Last comes the paper's band theorem: on every general cell the band mass
+sequence is log-concave.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from bandorbump.distribution import GameParams
+from bandorbump.analysis import _general_grid, log_concavity
+from bandorbump.distribution import GameParams, Outcome, joint_distribution
 from bandorbump.hypergeom import truncated_product, window_poly
 
 
@@ -209,3 +213,26 @@ def equal_quota(params: GameParams, n: int) -> tuple[Fraction, Fraction]:
     prev = rect_prob(HypergeomSpec(params.m, n - 1, params.s), box)
     band = here if n == last else Fraction(0)
     return band, prev - here
+
+
+# ==================== the band theorem ====================
+
+
+def band_logconcavity_violations(
+    m_range: tuple[int, int], s_range: tuple[int, int]
+) -> tuple[int, list[tuple[GameParams, int]]]:
+    """(cells, violations) of band log-concavity over the general cells of a grid.
+
+    Each cell's sequence is its band numerators from draw m * l, the first
+    possible band, to n_max; a violation is a (params, n) pair, and any one
+    is an engine bug.
+    """
+    cells = 0
+    violations = []
+    for p in _general_grid(m_range, s_range):
+        cells += 1
+        dist = joint_distribution(p)
+        first = p.m * p.l
+        seq = [dist.numerator(n, Outcome.BAND) for n in range(first, p.n_max + 1)]
+        violations += [(p, first + i) for i in log_concavity(seq)]
+    return cells, violations

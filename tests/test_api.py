@@ -19,7 +19,6 @@ SUPPORTED = [
     "OutcomeMoments",
     "PayoffSpec",
     "ScanReport",
-    "band_logconcavity_scan",
     "bump_logconcavity_scan",
     "compare",
     "exhaustive_distribution",
@@ -53,6 +52,11 @@ def test_top_level_api_is_pinned():
         assert not hasattr(distribution, gone), gone
     # One form per law, so the dataclass == compares values.
     assert not hasattr(distribution.JointDistribution, "matches")
+    # The scans run what `bandorbump scan` runs; the band theorem is a test
+    # (tests/reference.py), and only analysis knows the general case.
+    for gone in ("band_logconcavity_scan", "_logconcavity_scan"):
+        assert not hasattr(analysis, gone), gone
+    assert not hasattr(distribution.GameParams, "is_general")
 
 
 def test_reference_forms_live_in_the_tests():
@@ -107,6 +111,7 @@ def test_only_the_law_types_are_dataclasses():
     assert not hasattr(analysis, "LogConcavityResult")
     # compare's own arguments are not echoed back.
     assert oracle.ComparisonReport._fields == ("cells", "max_abs_z", "impossible", "passed")
+    assert oracle.EmpiricalDistribution._fields == ("params", "trials", "counts")
 
 
 def test_each_decision_lives_in_one_module():

@@ -37,7 +37,6 @@ class TestGameParams:
     def test_derived_quantities(self):
         assert SUIT_GAME.t == 52
         assert SUIT_GAME.n_max == 29
-        assert SUIT_GAME.is_general
         assert TINY.t == 6
         assert TINY.n_max == 3
         # lcm(1, ..., t), the one denominator of every law of the deck
@@ -71,7 +70,17 @@ class TestGameParams:
         ],
     )
     def test_is_general(self, params, general):
-        assert params.is_general is general
+        # The bump sum's index ranges exist only in the paper's general case,
+        # 0 < l < u < s; analysis refuses every other cell before any other check.
+        if general:
+            assert bump_k_range(params, params.u + 1) == (1, 1)
+            with pytest.raises(ValueError, match="^n=2 outside bump support"):
+                bump_kpp_range(params, params.u, 1)
+            return
+        with pytest.raises(ValueError, match="are a boundary configuration"):
+            bump_k_range(params, params.u + 1)
+        with pytest.raises(ValueError, match="are a boundary configuration"):
+            bump_kpp_range(params, params.u, 1)
 
 
 class TestJointDistributionContainer:

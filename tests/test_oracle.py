@@ -1,7 +1,9 @@
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -138,7 +140,6 @@ class TestSimulate:
         emp = simulate(params, 777, seed=3)
         assert sum(emp.counts.values()) == 777
         assert emp.trials == 777
-        assert emp.seed == 3
 
     def test_single_trial(self):
         emp = simulate(GameParams(2, 2, 1, 1), 1, seed=0)
@@ -160,6 +161,20 @@ class TestSimulate:
     def test_zero_quota_always_bands_at_one(self):
         emp = simulate(GameParams(3, 4, 0, 2), 100, seed=9)
         assert emp.counts == {(1, Outcome.BAND): 100}
+
+    def test_deal_through_the_whole_deck_is_an_error(self):
+        # a quota of 3 in a 2-card rank under a cap of 5: no card can stop play
+        params = SimpleNamespace(m=1, s=2, l=3, u=5, n_max=3)
+        message = "deal ran through the whole deck for namespace(m=1, s=2, l=3, u=5, n_max=3)"
+        with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
+            simulate(params, 1)
+
+    def test_stop_past_the_last_possible_draw_is_an_error(self):
+        # (2, 2, 1, 1) stops at draw 2 on every deal; claim it stops by draw 1
+        params = SimpleNamespace(m=2, s=2, l=1, u=1, n_max=1)
+        message = "deal stopped at draw 2 > 1 for namespace(m=2, s=2, l=1, u=1, n_max=1)"
+        with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
+            simulate(params, 1)
 
     def test_stops_inside_support(self):
         params = GameParams(3, 4, 1, 2)
@@ -215,7 +230,7 @@ class TestCompare:
         from collections import Counter
 
         emp = EmpiricalDistribution(
-            params, 300, 0, Counter({(2, Outcome.BAND): 200, (2, Outcome.BUMP): 100})
+            params, 300, Counter({(2, Outcome.BAND): 200, (2, Outcome.BUMP): 100})
         )
         report = compare(exact, emp)
         assert report.max_abs_z == 0.0
@@ -227,7 +242,7 @@ class TestCompare:
         exact = joint_distribution(params)
         from collections import Counter
 
-        emp = EmpiricalDistribution(params, 100, 0, Counter({(1, Outcome.BUMP): 100}))
+        emp = EmpiricalDistribution(params, 100, Counter({(1, Outcome.BUMP): 100}))
         report = compare(exact, emp)
         assert report.impossible == 1
         assert not report.passed
@@ -263,7 +278,7 @@ class TestCompare:
         params = GameParams(2, 3, 0, 2)
         exact = joint_distribution(params)
         emp = EmpiricalDistribution(
-            params, 10, 0, Counter({(1, Outcome.BAND): 5, (2, Outcome.BAND): 5})
+            params, 10, Counter({(1, Outcome.BAND): 5, (2, Outcome.BAND): 5})
         )
         report = compare(exact, emp)
         assert not report.passed
@@ -274,7 +289,7 @@ class TestCompare:
 
     def test_certain_cell_on_its_frequency_passes(self):
         params = GameParams(2, 3, 0, 2)
-        emp = EmpiricalDistribution(params, 10, 0, Counter({(1, Outcome.BAND): 10}))
+        emp = EmpiricalDistribution(params, 10, Counter({(1, Outcome.BAND): 10}))
         report = compare(joint_distribution(params), emp)
         assert report.passed
         assert [(c.z, c.scored) for c in report.cells] == [(0.0, True)]
@@ -282,7 +297,7 @@ class TestCompare:
     @pytest.mark.parametrize("trials", [0, -5])
     def test_non_positive_trials_rejected(self, trials):
         params = GameParams(2, 2, 1, 1)
-        emp = EmpiricalDistribution(params, trials, 0, Counter())
+        emp = EmpiricalDistribution(params, trials, Counter())
         with pytest.raises(ValueError, match=f"^trials must be >= 1, got {trials}$"):
             compare(joint_distribution(params), emp)
 
