@@ -11,8 +11,10 @@ paper's bump sum is strictly positive wherever its index ranges
 (``bump_k_range``, ``bump_kpp_range``) admit it, and whether the bump mass
 sequences are log-concave.  The non-vacuity scan reads each term's count of
 deals as one coefficient of a product of two generating-function powers,
-built once per cell.  Bump log-concavity is an open conjecture, so scan hits
-there are findings to report, not failures.  Band log-concavity is a
+built once per cell.  A scan returns its counts of cells and checks and its
+findings, nothing of its own arguments; no findings means the property holds
+on the grid.  Bump log-concavity is an open conjecture, so scan hits there
+are findings to report, not failures.  Band log-concavity is a
 theorem, and a violation would mean an engine bug; the tests check it on the
 same grids.
 """
@@ -158,19 +160,9 @@ class Finding(NamedTuple):
 
 
 class ScanReport(NamedTuple):
-    kind: str
-    m_range: tuple[int, int]
-    s_range: tuple[int, int]
     cells: int
     checks: int
     findings: tuple[Finding, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
-
-    def to_json_dict(self) -> dict:
-        return {**self._asdict(), "findings": [f._asdict() for f in self.findings], "ok": self.ok}
 
 
 def _require_general(params: GameParams) -> None:
@@ -273,7 +265,7 @@ def nonvacuity_scan(
                     count = _product_coef(below[m - k - kpp], interior[kpp], j)
                     if math.comb(m - k, kpp) * count <= 0:
                         findings.append(Finding(m, s, l, u, n, k, kpp, "non-positive summand"))
-    return ScanReport("nonvacuity", m_range, s_range, cells, checks, tuple(findings))
+    return ScanReport(cells, checks, tuple(findings))
 
 
 def bump_logconcavity_scan(
@@ -296,4 +288,4 @@ def bump_logconcavity_scan(
             findings.append(
                 Finding(p.m, p.s, p.l, p.u, p.u + 1 + i, None, None, "bump log-concavity violated")
             )
-    return ScanReport("bump-logconcavity", m_range, s_range, cells, checks, tuple(findings))
+    return ScanReport(cells, checks, tuple(findings))

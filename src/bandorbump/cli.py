@@ -19,7 +19,6 @@ import click
 from .analysis import (
     MomentsReport,
     PayoffSpec,
-    ScanReport,
     bump_logconcavity_scan,
     moments,
     nonvacuity_scan,
@@ -28,11 +27,6 @@ from .analysis import (
 from .distribution import GameParams, JointDistribution, joint_distribution
 from .exactnum import sqrt_decimal, to_decimal
 from .oracle import compare, exhaustive_distribution, simulate
-
-# Cells of exact probability below this see too few simulated hits for the
-# binomial z-score to be meaningful, so the verify command leaves them
-# unscored.
-_MIN_SCORED_PROB = 1e-5
 
 # 1000 significant figures is already far more than any table needs; more
 # would only be needless work.
@@ -261,7 +255,7 @@ def cmd_verify(
         click.echo(f"exhaustive: skipped (t={params.t} exceeds cap {oracle_cap})")
     if mc_trials is not None:
         empirical = simulate(params, mc_trials, seed)
-        report = compare(dist, empirical, z_threshold=z_threshold, min_prob=_MIN_SCORED_PROB)
+        report = compare(dist, empirical, z_threshold=z_threshold)
         scored = sum(1 for c in report.cells if c.scored)
         click.echo(
             f"monte carlo: max |z| = {report.max_abs_z:.3f} over {scored} scored cells "
@@ -292,6 +286,7 @@ def cmd_scan(kind: str, m_max: int, s_max: int, out: str | None) -> None:
 
     nonvacuity failures falsify a proved property and exit 1;
     bump-logconcavity hits concern a conjecture only and still exit 0.
+    An --out file that cannot be opened or written exits 2.
     """
     if m_max < 2 or s_max < 3:
         raise click.UsageError(
@@ -304,9 +299,8 @@ def cmd_scan(kind: str, m_max: int, s_max: int, out: str | None) -> None:
     try:
         sink = contextlib.nullcontext() if out is None else open(out, "w", encoding="utf-8")
     except OSError as exc:
-        raise click.BadParameter(f"cannot write {out}: {exc.strerror}", param_hint="'--out'") from exc
+        raise _cannot_write(out, exc) from exc
     with sink as fh:
-        report: ScanReport
         if kind == "nonvacuity":
             report = nonvacuity_scan(m_range, s_range)
         else:
@@ -316,9 +310,22 @@ def cmd_scan(kind: str, m_max: int, s_max: int, out: str | None) -> None:
             f"{kind}: {report.cells} parameter cells, {report.checks} checks, "
             f"{len(report.findings)} {noun}"
         )
-        click.echo(json.dumps(report.to_json_dict(), indent=2), file=fh)
-    if kind == "nonvacuity" and not report.ok:
+        doc = {"kind": kind, "m_range": m_range, "s_range": s_range, **report._asdict()}
+        doc.update(findings=[f._asdict() for f in report.findings], ok=not report.findings)
+        if fh is None:
+            click.echo(json.dumps(doc, indent=2))
+        else:
+            try:  # closing flushes, so a full device may fail there too
+                with fh:
+                    click.echo(json.dumps(doc, indent=2), file=fh)
+            except OSError as exc:
+                raise _cannot_write(out, exc) from exc
+    if kind == "nonvacuity" and report.findings:
         sys.exit(1)
+
+
+def _cannot_write(path: str, exc: OSError) -> click.BadParameter:
+    return click.BadParameter(f"cannot write {path}: {exc.strerror}", param_hint="'--out'")
 
 
 # ==================== payoff ====================

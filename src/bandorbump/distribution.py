@@ -123,8 +123,8 @@ class GameParams:
 
     @property
     def n_max(self) -> int:
-        """Latest draw at which play can still be running: l + (m - 1) * u."""
-        return self.l + (self.m - 1) * self.u
+        """Last draw at which play can stop: l + (m - 1) * u, or 1 when l = 0 stops every deal at once."""
+        return self.l + (self.m - 1) * self.u if self.l else 1
 
     @functools.cached_property
     def denominator(self) -> int:
@@ -210,10 +210,6 @@ class JointDistribution:
 # ==================== assembly ====================
 
 
-def _coef(poly: list[int], j: int) -> int:
-    return poly[j] if 0 <= j < len(poly) else 0
-
-
 def _power(poly: list[int], e: int, degree: int) -> list[int]:
     """poly**e truncated at degree."""
     out = [1]
@@ -239,7 +235,9 @@ def _gf_rows(params: GameParams) -> tuple[tuple[int, int, int], ...]:
     # every tally at most u, less those with every tally inside [l, u].
     all_capped = truncated_product(capped, under_cap, top)
     in_window = truncated_product(inside, window, top)
-    alive = [_coef(all_capped, j) - _coef(in_window, j) for j in range(top + 1)]
+    alive = [a - b for a, b in zip(all_capped, in_window, strict=True)]
+    # [z**(n-1-u)] (D**(m-1) - C**(m-1)) at index n; the u + 1 zeros are the negative powers.
+    outside = [0] * (u + 1) + [a - b for a, b in zip(capped, inside, strict=True)]
 
     start = m * l if u == s else min(m * l, u + 1)
     if alive[top] != 0 or alive[start - 1] != math.comb(t, start - 1):
@@ -253,8 +251,8 @@ def _gf_rows(params: GameParams) -> tuple[tuple[int, int, int], ...]:
     rows = []
     for n in range(start, top + 1):
         # Numerators over n * C(t, n) = t * C(t - 1, n - 1).
-        band = band_lead * _coef(inside, n - l)
-        bump = bump_lead * (_coef(capped, n - 1 - u) - _coef(inside, n - 1 - u))
+        band = band_lead * inside[n - l]
+        bump = bump_lead * outside[n]
         # P[N = n] = P[N > n - 1] - P[N > n], with P[N > n] = alive[n] / C(t, n).
         if band + bump != (t - n + 1) * alive[n - 1] - n * alive[n]:
             raise ConsistencyError(f"survival identity fails at {params}, n={n}")

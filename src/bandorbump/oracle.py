@@ -52,7 +52,7 @@ def exhaustive_distribution(params: GameParams, cap: int = 16) -> JointDistribut
     if t > cap:
         raise ValueError(f"deck size t={t} exceeds the exhaustive cap {cap}")
     m, s, l, u = params.m, params.s, params.l, params.u
-    horizon = max(params.n_max, 1)
+    horizon = params.n_max
     # Draws below tally u: (v, cards left in such a rank, whether the rank
     # reaches l).  A draw from tally u is a bump, open only when u < s.
     lanes = [(v, s - v, v == l - 1) for v in range(u)]
@@ -135,7 +135,7 @@ def simulate(params: GameParams, trials: int, seed: int = 0) -> EmpiricalDistrib
     m, s, l, u = params.m, params.s, params.l, params.u
     base_deck = [rank for rank in range(m) for _ in range(s)]
     swaps = [(i, (i + 1).bit_length()) for i in range(len(base_deck) - 1, 0, -1)]
-    latest = max(params.n_max, 1)
+    latest = params.n_max
     counts: Counter[tuple[int, Outcome]] = Counter()
     rng = random.Random()
     getrandbits = rng.getrandbits
@@ -185,15 +185,17 @@ class ComparisonReport(NamedTuple):
     passed: bool
 
 
+# Cells of exact probability below this see too few simulated hits for the
+# binomial z-score to be meaningful, so compare leaves them unscored.
+_MIN_SCORED_PROB = 1e-5
+
+
 def compare(
-    exact: JointDistribution,
-    empirical: EmpiricalDistribution,
-    z_threshold: float = 4.0,
-    min_prob: float = 0.0,
+    exact: JointDistribution, empirical: EmpiricalDistribution, z_threshold: float = 4.0
 ) -> ComparisonReport:
     """Score empirical frequencies against an exact law with binomial z-scores.
 
-    Cells with exact probability below min_prob are reported but not scored;
+    Cells with exact probability below 1e-5 are reported but not scored;
     they are too thin for the normal approximation behind the z statistic.
     Any simulated hit on a cell of exact probability zero fails outright.  A
     cell whose probability is 0.0 or 1.0 as a float has no spread, so a
@@ -227,7 +229,7 @@ def compare(
                 z = 0.0 if freq == pf else math.copysign(math.inf, freq - pf)
             else:
                 z = (freq - pf) / se
-            scored = pf >= min_prob
+            scored = pf >= _MIN_SCORED_PROB
             if scored:
                 max_abs_z = max(max_abs_z, abs(z))
             cells.append(CellCheck(n, outcome, p, count, z, scored))

@@ -163,7 +163,7 @@ def test_criterion_06_nonvacuity_scan():
     report(
         6,
         "index ranges of the bump sum are never vacuous on the grid",
-        scan.ok,
+        scan.findings == (),
         f"{scan.cells} cells, {scan.checks} checks, {len(scan.findings)} counterexamples, {elapsed:.1f}s",
     )
 
@@ -281,7 +281,7 @@ def test_criterion_10_monte_carlo_consistency():
     started = time.perf_counter()
     exact = joint_distribution(SUIT_GAME)
     empirical = simulate(SUIT_GAME, 10**6, seed=7)
-    result = compare(exact, empirical, z_threshold=4.0, min_prob=1e-5)
+    result = compare(exact, empirical, z_threshold=4.0)
     elapsed = time.perf_counter() - started
     scored = sum(1 for c in result.cells if c.scored)
     ok = result.passed and result.impossible == 0 and elapsed < 60.0

@@ -112,6 +112,20 @@ def test_only_the_law_types_are_dataclasses():
     # compare's own arguments are not echoed back.
     assert oracle.ComparisonReport._fields == ("cells", "max_abs_z", "impossible", "passed")
     assert oracle.EmpiricalDistribution._fields == ("params", "trials", "counts")
+    # A scan's report holds what it counted; kind and ranges are the caller's
+    # own arguments, and ok was the emptiness of findings.
+    assert analysis.ScanReport._fields == ("cells", "checks", "findings")
+    for gone in ("ok", "to_json_dict"):
+        assert not hasattr(analysis.ScanReport, gone), gone
+
+
+def test_no_knob_or_guard_that_says_nothing():
+    # verify was compare's one caller and always passed the same floor, which
+    # is now compare's own constant.
+    assert "min_prob" not in inspect.signature(oracle.compare).parameters
+    assert not hasattr(cli, "_MIN_SCORED_PROB")
+    # The generating-function rows have fixed lengths, so every read is in range.
+    assert not hasattr(distribution, "_coef")
 
 
 def test_each_decision_lives_in_one_module():

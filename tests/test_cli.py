@@ -14,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 from bandorbump import cli
-from bandorbump.analysis import moments
+from bandorbump.analysis import Finding, ScanReport, moments
 from bandorbump.cli import _rat
 from bandorbump.distribution import GameParams, JointDistribution, joint_distribution
 
@@ -121,6 +121,14 @@ class TestDistJson:
         assert doc["band_marginal"]["exact"] == "9/10"
         assert doc["mean_duration"]["overall"]["exact"] == "12/5"
         assert doc["mean_duration"]["sd"] == "0.489898"
+
+    def test_zero_quota_deck_stops_at_the_first_draw(self):
+        proc = run_cli(
+            "dist", "-m", "3", "-s", "3", "-l", "0", "-u", "2", "--format", "json", check=True
+        )
+        doc = json.loads(proc.stdout)
+        assert doc["params"] == {"m": 3, "s": 3, "l": 0, "u": 2, "t": 9, "n_max": 1}
+        assert [row["n"] for row in doc["rows"]] == [1]
 
     def test_exact_strings_lose_nothing(self):
         proc = run_cli(
@@ -310,6 +318,39 @@ class TestScan:
         doc = json.loads(target.read_text())
         assert doc["kind"] == "bump-logconcavity"
         assert doc["ok"] is True
+
+    def test_json_shape(self):
+        result = CliRunner().invoke(cli.main, ["scan", "nonvacuity", "--m-max", "2", "--s-max", "3"])
+        assert result.exit_code == 0
+        doc = json.loads(result.output.partition("\n")[2])
+        assert list(doc) == ["kind", "m_range", "s_range", "cells", "checks", "findings", "ok"]
+        assert doc["kind"] == "nonvacuity"
+        assert doc["m_range"] == [2, 2]
+        assert doc["s_range"] == [2, 3]
+        assert doc["ok"] is True
+        assert doc["findings"] == []
+        assert isinstance(doc["cells"], int)
+        assert isinstance(doc["checks"], int)
+
+    def test_finding_serialization(self, monkeypatch):
+        report = ScanReport(cells=1, checks=1, findings=(Finding(2, 3, 1, 2, 3, 1, None, "demo"),))
+        monkeypatch.setattr(cli, "nonvacuity_scan", lambda m_range, s_range: report)
+        result = CliRunner().invoke(cli.main, ["scan", "nonvacuity", "--m-max", "2", "--s-max", "3"])
+        assert result.exit_code == 1
+        doc = json.loads(result.output.partition("\n")[2])
+        assert doc["ok"] is False
+        assert doc["findings"] == [
+            {"m": 2, "s": 3, "l": 1, "u": 2, "n": 3, "k": 1, "kpp": None, "note": "demo"}
+        ]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+    def test_failed_write_to_out_exits_2(self):
+        # exit 1 would claim a falsified property; a full device is neither
+        proc = run_cli("scan", "nonvacuity", "--m-max", "3", "--s-max", "3", "--out", "/dev/full")
+        assert proc.returncode == 2
+        assert "cannot write /dev/full: No space left on device" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == "nonvacuity: 2 parameter cells, 8 checks, 0 counterexamples\n"
 
     def test_unwritable_out_is_usage_error(self, tmp_path):
         target = tmp_path / "missing" / "r.json"

@@ -43,6 +43,13 @@ class TestGameParams:
         assert SUIT_GAME.denominator == math.lcm(*range(1, 53)) == 3099044504245996706400
         assert TINY.denominator == 60
 
+    @pytest.mark.parametrize("m, s, l, u", [(3, 3, 0, 2), (2, 2, 0, 0), (1, 2, 0, 0)])
+    def test_zero_quota_stops_at_the_first_draw(self, m, s, l, u):
+        # l = 0 meets every quota before the first card, which then stops play
+        p = GameParams(m, s, l, u)
+        assert p.n_max == 1
+        assert joint_distribution(p).last_n == p.n_max
+
     @pytest.mark.parametrize(
         "m, s, l, u",
         [(0, 3, 1, 2), (2, 0, 0, 0), (2, 3, -1, 2), (2, 3, 2, 1), (2, 3, 1, 4)],

@@ -264,9 +264,10 @@ class TestCompare:
         params = GameParams(4, 13, 5, 8)
         exact = joint_distribution(params)
         emp = simulate(params, 2000, seed=2)
-        report = compare(exact, emp, min_prob=1e-5)
+        report = compare(exact, emp)
         assert isinstance(report, ComparisonReport)
         thin = [c for c in report.cells if 0 < float(c.expected) < 1e-5]
+        assert thin
         assert all(not c.scored for c in thin)
         scored = [c for c in report.cells if c.scored]
         assert scored
