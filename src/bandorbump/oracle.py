@@ -182,7 +182,6 @@ class ComparisonReport(NamedTuple):
     cells: tuple[CellCheck, ...]
     max_abs_z: float
     impossible: int  # cells the exact law forbids but the simulation hit
-    passed: bool
 
 
 # Cells of exact probability below this see too few simulated hits for the
@@ -190,16 +189,15 @@ class ComparisonReport(NamedTuple):
 _MIN_SCORED_PROB = 1e-5
 
 
-def compare(
-    exact: JointDistribution, empirical: EmpiricalDistribution, z_threshold: float = 4.0
-) -> ComparisonReport:
+def compare(exact: JointDistribution, empirical: EmpiricalDistribution) -> ComparisonReport:
     """Score empirical frequencies against an exact law with binomial z-scores.
 
-    Cells with exact probability below 1e-5 are reported but not scored;
-    they are too thin for the normal approximation behind the z statistic.
-    Any simulated hit on a cell of exact probability zero fails outright.  A
-    cell whose probability is 0.0 or 1.0 as a float has no spread, so a
-    frequency off it scores z = +-inf.
+    The report scores and does not judge: its caller bounds max_abs_z and
+    impossible, the count of hits on cells of exact probability zero.  Cells
+    with exact probability below 1e-5 are reported but not scored; they are
+    too thin for the normal approximation behind the z statistic.  A cell
+    whose probability is 0.0 or 1.0 as a float has no spread, so a frequency
+    off it scores z = +-inf.
     """
     if exact.params != empirical.params:
         raise ValueError("distributions describe different parameters")
@@ -233,5 +231,4 @@ def compare(
             if scored:
                 max_abs_z = max(max_abs_z, abs(z))
             cells.append(CellCheck(n, outcome, p, count, z, scored))
-    passed = impossible == 0 and max_abs_z < z_threshold
-    return ComparisonReport(tuple(cells), max_abs_z, impossible, passed)
+    return ComparisonReport(tuple(cells), max_abs_z, impossible)

@@ -109,8 +109,9 @@ def test_only_the_law_types_are_dataclasses():
     assert analysis.PayoffSpec(band, bump) == (1, -2)
     # log_concavity returns its violations; ok was their emptiness.
     assert not hasattr(analysis, "LogConcavityResult")
-    # compare's own arguments are not echoed back.
-    assert oracle.ComparisonReport._fields == ("cells", "max_abs_z", "impossible", "passed")
+    # compare's own arguments are not echoed back, and passed was a verdict:
+    # verify judges the scores against its own bound.
+    assert oracle.ComparisonReport._fields == ("cells", "max_abs_z", "impossible")
     assert oracle.EmpiricalDistribution._fields == ("params", "trials", "counts")
     # A scan's report holds what it counted; kind and ranges are the caller's
     # own arguments, and ok was the emptiness of findings.
@@ -126,6 +127,13 @@ def test_no_knob_or_guard_that_says_nothing():
     assert not hasattr(cli, "_MIN_SCORED_PROB")
     # The generating-function rows have fixed lengths, so every read is in range.
     assert not hasattr(distribution, "_coef")
+    # The Monte Carlo bound never moves, so it is verify's constant, not an
+    # option or an argument.
+    assert "z_threshold" not in inspect.signature(oracle.compare).parameters
+    assert not hasattr(cli, "_positive_finite")
+    assert cli._Z_BOUND == 4.0
+    # Every verify option is an input or a path; a new one is a visible decision.
+    assert {p.name for p in cli.cmd_verify.params} == {"m", "s", "l", "u", "mc_trials", "seed", "oracle_cap"}
 
 
 def test_each_decision_lives_in_one_module():

@@ -5,18 +5,20 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from click.testing import CliRunner, Result
 
 from bandorbump import cli
 from bandorbump.analysis import Finding, ScanReport, moments
 from bandorbump.cli import _rat
-from bandorbump.distribution import GameParams, JointDistribution, joint_distribution
+from bandorbump.distribution import GameParams, JointDistribution, Outcome, joint_distribution
+from bandorbump.oracle import EmpiricalDistribution
 
 TIMEOUT = 120
 
@@ -219,14 +221,36 @@ class TestVerify:
         assert proc.returncode == 0
         assert "max |z|" in proc.stdout
 
-    def test_unreachable_z_threshold_fails(self):
-        # 1000 trials cannot hit the band frequency 2/3 exactly, so a tiny
-        # threshold must fail deterministically
-        proc = run_cli(
-            "verify", "-m", "2", "-s", "2", "-l", "1", "-u", "1",
-            "--mc-trials", "1000", "--z-threshold", "1e-12",
+    @staticmethod
+    def verify_against(monkeypatch, counts: Counter) -> Result:
+        # (2, 2, 1, 1) stops at draw 2: band with 2/3, bump with 1/3.
+        params = GameParams(2, 2, 1, 1)
+        empirical = EmpiricalDistribution(params, 300, counts)
+        monkeypatch.setattr(cli, "simulate", lambda params, trials, seed: empirical)
+        return CliRunner().invoke(
+            cli.main, ["verify", "-m", "2", "-s", "2", "-l", "1", "-u", "1", "--mc-trials", "300"]
         )
-        assert proc.returncode == 1
+
+    def test_skewed_count_past_the_bound_fails(self, monkeypatch):
+        # 250 bands in 300 deals: z = (5/6 - 2/3) / sqrt(2/9 / 300) = 6.124
+        result = self.verify_against(
+            monkeypatch, Counter({(2, Outcome.BAND): 250, (2, Outcome.BUMP): 50})
+        )
+        assert result.exit_code == 1
+        assert result.stdout.splitlines() == [
+            "exhaustive: exact match on 1 rows",
+            "monte carlo: max |z| = 6.124 over 2 scored cells (300 trials, threshold 4.0)",
+        ]
+
+    def test_hit_on_an_impossible_cell_fails(self, monkeypatch):
+        # Both scored cells lie well inside the bound; one deal bumped at the
+        # first draw, which the law forbids.
+        result = self.verify_against(
+            monkeypatch,
+            Counter({(1, Outcome.BUMP): 1, (2, Outcome.BAND): 200, (2, Outcome.BUMP): 99}),
+        )
+        assert result.exit_code == 1
+        assert "monte carlo: 1 hits on cells of exact probability 0" in result.stdout.splitlines()
 
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_non_positive_trials_is_usage_error(self, trials):
@@ -245,15 +269,17 @@ class TestVerify:
         assert "--oracle-cap" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "0", "-1"])
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "0", "-1", "5"])
     def test_bad_z_threshold_is_usage_error(self, threshold):
+        # The bound is fixed at 4.0; no value of --z-threshold moves it.
         proc = run_cli(
             "verify", "-m", "2", "-s", "3", "-l", "1", "-u", "2",
             "--mc-trials", "100", "--z-threshold", threshold,
         )
         assert proc.returncode == 2
+        assert "No such option" in proc.stderr
         assert "--z-threshold" in proc.stderr
-        assert "finite number > 0" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_large_deck_without_trials_is_usage_error(self):
         proc = run_cli("verify", "-m", "4", "-s", "13", "-l", "5", "-u", "8")
@@ -441,6 +467,37 @@ class TestPayoff:
             "--band", "two", "--bump", "0",
         )
         assert proc.returncode == 2
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+class TestFailedStdout:
+    GAME = ("-m", "2", "-s", "3", "-l", "1", "-u", "2")
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("dist", *GAME),
+            ("dist", *GAME, "--format", "json"),
+            ("verify", *GAME),
+            ("payoff", *GAME, "--band", "1", "--bump", "0"),
+            ("scan", "nonvacuity", "--m-max", "2", "--s-max", "3"),
+        ],
+        ids=["dist-csv", "dist-json", "verify", "payoff", "scan"],
+    )
+    def test_full_device_exits_2(self, args, unbuffered):
+        # Unbuffered, the write itself fails; buffered, only a flush does, and
+        # unguarded that flush fails at exit as code 120.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "bandorbump", *args],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=TIMEOUT,
+            )
+        assert proc.returncode == 2
+        assert proc.stderr == "Error: cannot write stdout: No space left on device\n"
 
 
 _NO_DIFFLIB = """
