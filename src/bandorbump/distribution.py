@@ -30,11 +30,15 @@ sit inside the window) and
 
 (the last card's rank held u of its s cards and the last card is one of the
 s - u left; the other m - 1 ranks are all at most u and not all inside the
-window, or play would already have stopped on a band).  Each power is a
-truncated polynomial product, so one parameter set costs O(m) products.  The
-u = s corner (no bump, as s - u = 0) and the l = u corner run through the
-same routine.  Only l = 0, where the deal stops at the first card, is
-special.
+window, or play would already have stopped on a band).  Each power comes
+from J.C.P. Miller's recurrence, which finds every coefficient of a power
+from the ones before it (see ``_power``): O(n_max * u) coefficient
+operations per power whatever m is, where a chain of m - 1 products costs
+O(m * n_max * u).  The row scale from n * C(t, n) to L is one running
+integer, carried from row to row by one multiplication and one exact
+division.  The u = s corner (no bump, as s - u = 0) and the l = u corner
+run through the same routine.  Only l = 0, where the deal stops at the
+first card, is special.
 
 The law is carried as integers.  t * C(t-1, k) divides L = lcm(1, ..., t)
 for every k (Farhi, Amer. Math. Monthly 116, 2009), so each cell is an
@@ -50,7 +54,8 @@ n * C(t, n) reads
 
     band(n) + bump(n) = (t-n+1) * [z**(n-1)] F - n * [z**n] F.
 
-D**m and C**m are each one product past the (m-1)-th powers the rows read.
+D**m and C**m are each one truncated product past the (m-1)-th powers the
+rows read, so this check sets the recurrence against a convolution.
 [z**n] F must also equal C(t, n) at the draw before the first row and 0 at
 n_max.  A failure raises ConsistencyError, as does a failed mass check.
 Such an error means the engine itself is wrong and must never be swallowed.
@@ -77,6 +82,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -211,11 +217,36 @@ class JointDistribution:
 
 
 def _power(poly: list[int], e: int, degree: int) -> list[int]:
-    """poly**e truncated at degree."""
-    out = [1]
-    for _ in range(e):
-        out = truncated_product(out, poly, degree)
-    return out
+    """poly**e truncated at degree, by J.C.P. Miller's recurrence.
+
+    Write poly = z**low * d with d = d[0] + d[1] z + ... + d[r] z**r and
+    d[0] != 0.  P = d**e satisfies d * P' = e * d' * P, which reads
+    coefficient by coefficient
+
+        d[0] * k * p[k] = sum_{i=1..min(k,r)} ((e+1) * i - k) * d[i] * p[k-i]
+
+    from p[0] = d[0]**e (Knuth, The Art of Computer Programming, vol. 2,
+    section 4.7); poly**e is P shifted by low * e.  Each coefficient costs
+    two dot products of length at most r and one exact division, so a power
+    costs O(degree * r) coefficient operations whatever e is.  A remainder
+    means the arithmetic itself is wrong and raises ConsistencyError.
+    """
+    low = next(i for i, c in enumerate(poly) if c)
+    d0, rest = poly[low], poly[low + 1 :]  # d[0] and d[1..r]
+    lift = [(e + 1) * i * c for i, c in enumerate(rest, 1)]  # (e+1) * i * d[i]
+    p = [d0**e]
+    for k in range(1, min(e * len(rest), degree - low * e) + 1):
+        # p holds p[0..k-1], so reversed(p) pairs p[k-i] with d[i] for i = 1..min(k, r).
+        q, rem = divmod(
+            sum(map(operator.mul, lift, reversed(p))) - k * sum(map(operator.mul, rest, reversed(p))),
+            k * d0,
+        )
+        if rem:
+            raise ConsistencyError(
+                f"Miller's recurrence leaves a remainder at z**{low * e + k} of poly**{e}"
+            )
+        p.append(q)
+    return ([0] * (low * e) + p)[: degree + 1]
 
 
 def _gf_rows(params: GameParams) -> tuple[tuple[int, int, int], ...]:
@@ -247,7 +278,8 @@ def _gf_rows(params: GameParams) -> tuple[tuple[int, int, int], ...]:
         )
     band_lead = t * math.comb(s - 1, l - 1)
     bump_lead = m * math.comb(s, u) * (s - u)
-    denominator = params.denominator
+    # L / (t * C(t-1, n-1)), an integer at every n, carried from row to row.
+    scale = params.denominator // (t * math.comb(t - 1, start - 1))
     rows = []
     for n in range(start, top + 1):
         # Numerators over n * C(t, n) = t * C(t - 1, n - 1).
@@ -256,8 +288,9 @@ def _gf_rows(params: GameParams) -> tuple[tuple[int, int, int], ...]:
         # P[N = n] = P[N > n - 1] - P[N > n], with P[N > n] = alive[n] / C(t, n).
         if band + bump != (t - n + 1) * alive[n - 1] - n * alive[n]:
             raise ConsistencyError(f"survival identity fails at {params}, n={n}")
-        scale = denominator // (t * math.comb(t - 1, n - 1))
         rows.append((n, band * scale, bump * scale))
+        if n < t:
+            scale = scale * n // (t - n)  # C(t-1, n) = C(t-1, n-1) * (t-n) / n
     return tuple(rows)
 
 

@@ -5,9 +5,11 @@ counted by C(rank_size, x) * z**x, so the deals whose tallies keep every rank
 inside its own window are counted by the coefficients of the product of the
 ranks' window polynomials.  ``window_poly`` builds one rank's polynomial and
 ``truncated_product`` multiplies two with exact integer convolution, dropping
-every degree beyond the last draw of interest.  The stopping-law engine and
-the non-vacuity scan build all of their generating-function powers from these
-two, so no count ever touches floating point.
+every degree beyond the last draw of interest.  The non-vacuity scan builds
+all of its generating-function powers from these two; the stopping-law
+engine builds its window polynomials here, raises them to powers by a
+recurrence of its own and checks those powers with one truncated product
+each.  No count ever touches floating point.
 """
 
 from __future__ import annotations

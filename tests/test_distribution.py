@@ -1,3 +1,5 @@
+import builtins
+import hashlib
 import math
 from fractions import Fraction
 
@@ -15,7 +17,7 @@ from bandorbump.distribution import (
     joint_distribution,
 )
 from bandorbump.exactnum import to_decimal
-from bandorbump.hypergeom import window_poly
+from bandorbump.hypergeom import truncated_product, window_poly
 from bandorbump.oracle import exhaustive_distribution
 from reference import (
     HypergeomSpec,
@@ -430,6 +432,15 @@ def _bump_by_summands(p: GameParams, n: int) -> Fraction:
     return total
 
 
+def _assert_rows_match_rectangle_forms(p: GameParams) -> None:
+    """Every row of a deck, including the zeros, equals its rectangle forms."""
+    dist = joint_distribution(p)
+    assert (dist.first_n, dist.last_n) == (min(p.m * p.l, p.u + 1), p.n_max)
+    for n, band, bump in dist.rows:
+        assert band == _band_by_rectangle(p, n), (p, n)
+        assert bump == _bump_by_summands(p, n), (p, n)
+
+
 class TestGeneratingFunctionRows:
     """The polynomial-power rows against the per-configuration reference forms."""
 
@@ -470,13 +481,65 @@ class TestGeneratingFunctionRows:
         assert joint_distribution(p) == exhaustive_distribution(p, cap=208)
 
     def test_fifty_two_rank_deck_solves_cold(self):
-        p = GameParams(52, 4, 1, 3)
-        dist = joint_distribution(p)
-        assert (dist.first_n, dist.last_n) == (4, p.n_max)
-        for n in (4, 10, 40, 80, p.n_max):
-            assert dist.band_mass(n) == _band_by_rectangle(p, n), n
-        for n in range(4, 9):
-            assert dist.bump_mass(n) == _bump_by_summands(p, n), n
+        _assert_rows_match_rectangle_forms(GameParams(52, 4, 1, 3))
+
+    def test_fifty_card_rank_deck_matches_rectangle_forms(self):
+        _assert_rows_match_rectangle_forms(GameParams(8, 50, 20, 30))
+
+    @pytest.mark.parametrize(
+        "params, digest",
+        [
+            (GameParams(400, 4, 1, 3), "c7f53c3f44ff45f59143d6a186081e3436da478f0afda76a3a5a428da3d04107"),
+            (GameParams(100, 50, 20, 30), "ef5ea8c2a7cc660000364c2fd3eff190940d2447048643c5a6504d6853f86a33"),
+            (GameParams(1000, 4, 1, 3), "ca4d67f2d8a64051f4d5af80205a096812067a080e5887c9da26d03048809101"),
+        ],
+    )
+    def test_large_deck_numerators_are_pinned(self, params, digest):
+        # No oracle reaches these decks.  The digests were computed once with
+        # the engine of commit 751f3d7, which built every power as a chain of
+        # truncated products and every row scale from math.comb, taking
+        # seconds per deck; the recurrence must give the same integers.
+        numerators = joint_distribution(params).numerators
+        assert hashlib.sha256(repr(numerators).encode()).hexdigest() == digest
+
+
+def _product_chain(poly: list[int], e: int, degree: int) -> list[int]:
+    """poly**e truncated at degree as e truncated products."""
+    out = [1]
+    for _ in range(e):
+        out = truncated_product(out, poly, degree)
+    return out
+
+
+class TestMillerPower:
+    """``_power`` by the recurrence against repeated convolution."""
+
+    def test_every_small_window_matches_the_product_chain(self):
+        seen = {"shifted": 0, "zeroth": 0, "below_full": 0, "all_truncated": 0}
+        for s in range(0, 9):
+            for lo in range(0, s + 1):
+                for hi in range(lo, s + 1):
+                    poly = window_poly(s, lo, hi)
+                    for e in range(0, 8):
+                        full = e * hi
+                        for degree in range(0, full + 1):
+                            assert distribution._power(poly, e, degree) == _product_chain(
+                                poly, e, degree
+                            ), (s, lo, hi, e, degree)
+                            # lo >= 1: the recurrence starts from d[0] = C(s, lo), not 1
+                            seen["shifted"] += lo >= 1 and math.comb(s, lo) != 1
+                            seen["zeroth"] += e == 0  # the m = 1 decks
+                            seen["below_full"] += degree < full
+                            seen["all_truncated"] += degree < lo * e
+        assert all(seen.values()), seen
+
+    def test_a_slip_in_the_recurrence_leaves_a_remainder(self, monkeypatch):
+        # every division is exact, so an off-by-one sum must raise, never round
+        monkeypatch.setattr(distribution, "sum", lambda terms: builtins.sum(terms) + 1, raising=False)
+        with pytest.raises(ConsistencyError, match="Miller's recurrence leaves a remainder"):
+            distribution._power(window_poly(4, 0, 3), 3, 9)
+        with pytest.raises(ConsistencyError, match="Miller's recurrence leaves a remainder"):
+            joint_distribution(TINY)
 
 
 def _corrupt_window(monkeypatch, lo: int, hi: int, degree: int) -> None:
