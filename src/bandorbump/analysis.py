@@ -11,12 +11,12 @@ paper's bump sum is strictly positive wherever its index ranges
 (``bump_k_range``, ``bump_kpp_range``) admit it, and whether the bump mass
 sequences are log-concave.  The non-vacuity scan reads each term's count of
 deals as one coefficient of a product of two generating-function powers,
-built once per cell.  A scan returns its counts of cells and checks and its
-findings, nothing of its own arguments; no findings means the property holds
-on the grid.  Bump log-concavity is an open conjecture, so scan hits there
-are findings to report, not failures.  Band log-concavity is a
-theorem, and a violation would mean an engine bug; the tests check it on the
-same grids.
+raised once per cell by the engine's recurrence, ``distribution.power``.  A
+scan returns its counts of cells and checks and its findings, nothing of its
+own arguments; no findings means the property holds on the grid.  Bump
+log-concavity is an open conjecture, so scan hits there are findings to
+report, not failures.  Band log-concavity is a theorem, and a violation would
+mean an engine bug; the tests check it on the same grids.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import re
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .distribution import GameParams, JointDistribution, Outcome, joint_distribution
-from .hypergeom import truncated_product, window_poly
+from .distribution import GameParams, JointDistribution, Outcome, joint_distribution, power
+from .hypergeom import window_poly
 
 
 # ==================== moments ====================
@@ -213,14 +213,6 @@ def _general_grid(m_range: tuple[int, int], s_range: tuple[int, int]):
                     yield GameParams(m, s, l, u)
 
 
-def _powers(poly: list[int], count: int, degree: int) -> list[list[int]]:
-    """poly**0 through poly**(count - 1), each truncated at degree."""
-    out = [[1]]
-    for _ in range(count - 1):
-        out.append(truncated_product(out[-1], poly, degree))
-    return out
-
-
 def _product_coef(a: list[int], b: list[int], j: int) -> int:
     """[z**j] of the product of the coefficient lists a and b."""
     return sum(a[i] * b[j - i] for i in range(max(0, j - len(b) + 1), min(len(a), j + 1)))
@@ -238,6 +230,7 @@ def nonvacuity_scan(
     k >= 1, so its sign is that of its count of deals,
     C(m - k, k'') * [z**j] (A**(m-k-k'') * B**k''), with j = n - 1 - k*u and
     A, B one rank's counting polynomials over [0, l - 1] and [l, u - 1].
+    Every power comes from the engine's recurrence, ``distribution.power``.
     """
     cells = 0
     checks = 0
@@ -246,8 +239,8 @@ def nonvacuity_scan(
         cells += 1
         m, s, l, u = p.m, p.s, p.l, p.u
         degree = p.n_max - 1 - u  # largest j, at n = n_max and k = 1
-        below = _powers(window_poly(s, 0, l - 1), m, degree)  # A**0 .. A**(m-1)
-        interior = _powers(window_poly(s, l, u - 1), m, degree)  # B**0 .. B**(m-1)
+        below = [power(window_poly(s, 0, l - 1), e, degree) for e in range(m)]  # A**0 .. A**(m-1)
+        interior = [power(window_poly(s, l, u - 1), e, degree) for e in range(m)]  # B**0 .. B**(m-1)
         for n in range(u + 1, p.n_max + 1):
             k_lo, k_hi = bump_k_range(p, n)
             if k_lo > k_hi:

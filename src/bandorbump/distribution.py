@@ -32,7 +32,7 @@ sit inside the window) and
 s - u left; the other m - 1 ranks are all at most u and not all inside the
 window, or play would already have stopped on a band).  Each power comes
 from J.C.P. Miller's recurrence, which finds every coefficient of a power
-from the ones before it (see ``_power``): O(n_max * u) coefficient
+from the ones before it (see ``power``): O(n_max * u) coefficient
 operations per power whatever m is, where a chain of m - 1 products costs
 O(m * n_max * u).  The row scale from n * C(t, n) to L is one running
 integer, carried from row to row by one multiplication and one exact
@@ -216,7 +216,7 @@ class JointDistribution:
 # ==================== assembly ====================
 
 
-def _power(poly: list[int], e: int, degree: int) -> list[int]:
+def power(poly: list[int], e: int, degree: int) -> list[int]:
     """poly**e truncated at degree, by J.C.P. Miller's recurrence.
 
     Write poly = z**low * d with d = d[0] + d[1] z + ... + d[r] z**r and
@@ -260,8 +260,8 @@ def _gf_rows(params: GameParams) -> tuple[tuple[int, int, int], ...]:
     m, s, l, u, t = params.m, params.s, params.l, params.u, params.t
     top = params.n_max
     window, under_cap = window_poly(s, l, u), window_poly(s, 0, u)  # C, D
-    inside = _power(window, m - 1, top)
-    capped = _power(under_cap, m - 1, top)
+    inside = power(window, m - 1, top)
+    capped = power(under_cap, m - 1, top)
     # [z**n] alive counts the n-card hands after which play is still running:
     # every tally at most u, less those with every tally inside [l, u].
     all_capped = truncated_product(capped, under_cap, top)

@@ -5,11 +5,10 @@ counted by C(rank_size, x) * z**x, so the deals whose tallies keep every rank
 inside its own window are counted by the coefficients of the product of the
 ranks' window polynomials.  ``window_poly`` builds one rank's polynomial and
 ``truncated_product`` multiplies two with exact integer convolution, dropping
-every degree beyond the last draw of interest.  The non-vacuity scan builds
-all of its generating-function powers from these two; the stopping-law
-engine builds its window polynomials here, raises them to powers by a
-recurrence of its own and checks those powers with one truncated product
-each.  No count ever touches floating point.
+every degree beyond the last draw of interest.  The engine and the
+non-vacuity scan raise these by one recurrence, ``distribution.power``;
+``truncated_product`` serves the engine's survival check and the reference
+forms in ``tests/reference.py``.  No count ever touches floating point.
 """
 
 from __future__ import annotations

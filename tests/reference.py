@@ -8,11 +8,14 @@ ranks, and ask that every coordinate j of the tally vector land inside
 product over coordinates of sum_{x=lo_j}^{hi_j} C(rank_size, x) * z**x,
 expanded once per rectangle shape with exact integer convolution and cached.
 
-On top of those counts sit the per-configuration bump summand, the pinned
-last-card chance, and the two boundary cases u = s (no bump) and l = u (a
-band only at the last possible draw).  The engine in ``bandorbump`` builds
-every row from generating-function powers instead; the tests hold its rows
-equal to these forms.
+On top of those counts sit the per-configuration bump summand, its l = 1
+form over compositions, the pinned last-card chance, and the two boundary
+cases u = s (no bump) and l = u (a band only at the last possible draw).
+The paper's sum over the number k of capped ranks gives every bump row of a
+deck at once, from powers built as chains of truncated products, so it
+reaches decks far beyond the rectangle forms.  The engine in ``bandorbump``
+builds every row from generating-function powers by a recurrence instead;
+the tests hold its rows equal to these forms.
 
 Last comes the paper's band theorem: on every general cell the band mass
 sequence is log-concave.
@@ -174,6 +177,73 @@ def bump_summand(params: GameParams, n: int, k: int, kpp: int) -> Fraction:
     count = rect_count(HypergeomSpec(m - k, n_k, s), rect)
     weight = Fraction(multinomial(m, (k, kp, kpp)) * k * (s - u), t - n + 1) / binomial(t, n - 1)
     return weight * binomial(s, u) ** k * count
+
+
+def _compositions(total: int, parts: int, lo: int, hi: int):
+    """All (x_1..x_parts) with lo <= x_i <= hi summing to total."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for x in range(lo, min(hi, total) + 1):
+        for rest in _compositions(total - x, parts - 1, lo, hi):
+            yield (x,) + rest
+
+
+def quota_one_bump(params: GameParams, n: int) -> Fraction:
+    """Bump mass at draw n for 1 = l < u < s, summed over compositions.
+
+    With a quota of one card a rank below quota holds none, so the rectangle
+    of ``bump_summand`` splits: k ranks at the cap u, k'' ranks holding 1 to
+    u - 1 cards each, and the rest empty.  The k'' ranks' count is a sum over
+    the compositions of the n - 1 - k*u cards left into k'' such parts.  The
+    index bounds are derived here, not taken from ``bump_k_range`` or
+    ``bump_kpp_range``: the k'' ranks hold at most u - 1 cards each and at
+    least one rank stays empty, or play would have stopped on a band.
+    """
+    m, s, l, u, t = params.m, params.s, params.l, params.u, params.t
+    if not (1 == l < u < s):
+        raise ValueError(f"quota_one_bump needs 1 = l < u < s, got {params}")
+    total = Fraction(0)
+    for k in range(max(1, n - 1 - (m - 1) * (u - 1)), (n - 1) // u + 1):
+        n_k = n - 1 - k * u
+        for kpp in range(-(-n_k // (u - 1)), min(n_k, m - 1 - k) + 1):
+            count = binomial(s, u) ** k * sum(
+                math.prod(binomial(s, x) for x in comp) for comp in _compositions(n_k, kpp, 1, u - 1)
+            )
+            weight = Fraction(binomial(m, k) * binomial(m - k, kpp) * k * (s - u), n) / binomial(t, n)
+            total += weight * count
+    return total
+
+
+def bump_by_capped_ranks(params: GameParams) -> list[int]:
+    """Bump numerators over n * C(t, n) at every draw n <= n_max, as the paper's sum over k.
+
+    k ranks sit at the cap u after n - 1 cards, and the other m - k are all
+    below u but not all inside [l, u - 1]:
+
+        (s-u) * sum_k C(m, k) * k * C(s, u)**k
+                * [z**(n-1-k*u)] ((A + B)**(m-k) - B**(m-k))
+
+    with A and B one rank's polynomials over [0, l - 1] and [l, u - 1], so
+    A + B is the one over [0, u - 1].  The powers are a chain of truncated
+    products, so this sum shares neither the engine's recurrence nor its
+    collapse to D**(m-1) - C**(m-1).  Needs l >= 1.
+    """
+    m, s, l, u = params.m, params.s, params.l, params.u
+    top = params.n_max
+    degree = top - 1 - u  # largest [z**j] read, at n = n_max and k = 1
+    below_cap, interior = window_poly(s, 0, u - 1), window_poly(s, l, u - 1)  # A + B, B
+    out = [0] * (top + 1)
+    below_cap_power, interior_power = [1], [1]  # (A + B)**e and B**e for e = m - k
+    for k in range(m, 0, -1):
+        weight = (s - u) * math.comb(m, k) * k * math.comb(s, u) ** k
+        for poly, sign in ((below_cap_power, 1), (interior_power, -1)):
+            for j, c in enumerate(poly[: max(top - k * u, 0)]):
+                out[j + 1 + k * u] += sign * weight * c
+        below_cap_power = truncated_product(below_cap_power, below_cap, degree)
+        interior_power = truncated_product(interior_power, interior, degree)
+    return out
 
 
 def coupon_band(params: GameParams, n: int) -> Fraction:

@@ -9,7 +9,6 @@ upstream random-module change ever shifts the stream.
 
 import csv
 import io
-import math
 import subprocess
 import sys
 import time
@@ -25,7 +24,7 @@ from bandorbump.analysis import (
 from bandorbump.distribution import GameParams, joint_distribution
 from bandorbump.exactnum import to_decimal
 from bandorbump.oracle import compare, exhaustive_distribution, simulate
-from reference import band_logconcavity_violations, binomial, multinomial, point_prob
+from reference import band_logconcavity_violations, binomial, multinomial, point_prob, quota_one_bump
 
 SUIT_GAME = GameParams(4, 13, 5, 8)
 RANK_GAME = GameParams(13, 4, 1, 3)
@@ -237,34 +236,11 @@ def test_criterion_09_internal_identities():
     # identity 3: the l=1 specialized bump formula (ranks below quota hold
     # zero cards, so the rectangle count collapses to compositions) against
     # the general engine, for every draw of the thirteen-rank game
-    def compositions(total, parts, lo, hi):
-        if parts == 0:
-            if total == 0:
-                yield ()
-            return
-        for x in range(lo, min(hi, total) + 1):
-            for rest in compositions(total - x, parts - 1, lo, hi):
-                yield (x,) + rest
-
-    special_ok = True
-    p = RANK_GAME
-    m, s, u, t = p.m, p.s, p.u, p.t
-    dist = joint_distribution(p)
-    for n in range(p.u + 1, p.n_max + 1):
-        total = Fraction(0)
-        for k in range(max(1, n - 25), (n - 1) // u + 1):
-            n_k = n - 1 - k * u
-            for kpp in range(math.ceil(Fraction(n_k, 2)), min(n_k, m - 1 - k) + 1):
-                count = binomial(s, u) ** k * sum(
-                    math.prod(binomial(s, x) for x in comp)
-                    for comp in compositions(n_k, kpp, 1, u - 1)
-                )
-                weight = Fraction(
-                    binomial(m, k) * binomial(m - k, kpp) * k * (s - u), n
-                ) / binomial(t, n)
-                total += weight * count
-        if total != dist.bump_mass(n):
-            special_ok = False
+    dist = joint_distribution(RANK_GAME)
+    special_ok = all(
+        quota_one_bump(RANK_GAME, n) == dist.bump_mass(n)
+        for n in range(RANK_GAME.u + 1, RANK_GAME.n_max + 1)
+    )
 
     ok = weight_ok and point_ok and special_ok
     report(

@@ -210,6 +210,12 @@ class TestScans:
         assert report.cells == expected_cells
         assert report.checks > report.cells
 
+    def test_nonvacuity_default_grid(self):
+        report = nonvacuity_scan((2, 8), (2, 8))
+        assert report.cells == 392
+        assert report.checks == 42728
+        assert report.findings == ()
+
     def test_nonvacuity_grid_to_twelve(self):
         report = nonvacuity_scan((2, 12), (2, 12))
         assert report.cells == 2420

@@ -93,6 +93,15 @@ def test_hypergeom_keeps_the_polynomial_helpers():
     assert hypergeom.truncated_product([1, 1], [1, 1], 1) == [1, 2]
 
 
+def test_one_recurrence_raises_every_power():
+    # The engine and the non-vacuity scan raise polynomials by the same
+    # recurrence; a chain of truncated products survives only in the tests.
+    assert not hasattr(analysis, "_powers")
+    assert not hasattr(distribution, "_power")
+    assert analysis.power is distribution.power
+    assert "truncated_product" not in vars(analysis)
+
+
 def test_only_the_law_types_are_dataclasses():
     # A type is a dataclass only where it validates; every other result is a
     # named tuple of what its producer computed.
