@@ -229,9 +229,12 @@ def power(poly: list[int], e: int, degree: int) -> list[int]:
     section 4.7); poly**e is P shifted by low * e.  Each coefficient costs
     two dot products of length at most r and one exact division, so a power
     costs O(degree * r) coefficient operations whatever e is.  A remainder
-    means the arithmetic itself is wrong and raises ConsistencyError.
+    means the arithmetic itself is wrong and raises ConsistencyError; the
+    zero polynomial, which has no d[0], raises ValueError.
     """
-    low = next(i for i, c in enumerate(poly) if c)
+    low = next((i for i, c in enumerate(poly) if c), None)
+    if low is None:
+        raise ValueError(f"power of the zero polynomial {poly}")
     d0, rest = poly[low], poly[low + 1 :]  # d[0] and d[1..r]
     lift = [(e + 1) * i * c for i, c in enumerate(rest, 1)]  # (e+1) * i * d[i]
     p = [d0**e]

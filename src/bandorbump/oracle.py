@@ -13,7 +13,10 @@ Two routes, sharing no algebra with the formula engine:
   ``_trial_seed`` alone defines that seed.  ``simulate`` makes the same
   ``getrandbits`` calls as ``Random.shuffle`` inline on one reseeded
   generator, because building a generator per trial and calling
-  ``_randbelow`` per swap cost more than playing the deal.
+  ``_randbelow`` per swap cost more than playing the deal.  As no trial
+  reads another's state, large runs are cut into blocks of trials dealt
+  on every usable CPU by forked children, and the merged counts are the
+  sequential ones whatever the number of workers.
 
 The DP state is the histogram of the tallies: ``h[v]`` ranks hold tally v,
 for 0 <= v <= u.  Both stopping rules and the per-draw transition weights
@@ -30,7 +33,9 @@ that division must be exact, and a remainder raises ConsistencyError.
 from __future__ import annotations
 
 import hashlib
+import marshal
 import math
+import os
 import random
 from collections import Counter
 from fractions import Fraction
@@ -123,15 +128,17 @@ def _trial_seed(seed: int, index: int) -> int:
     return int.from_bytes(digest[:16], "big")
 
 
-def simulate(params: GameParams, trials: int, seed: int = 0) -> EmpiricalDistribution:
-    """Play `trials` independent deals on seeded shuffles and tally outcomes.
+# Deals per worker below which a fork costs more than it saves.
+_MIN_BLOCK = 5000
+
+
+def _deal(params: GameParams, seed: int, start: int, stop: int) -> Counter[tuple[int, Outcome]]:
+    """Tally trials start..stop-1, the only deal loop.
 
     The shuffle is Fisher-Yates from the back, as ``Random.shuffle`` runs it:
     position i swaps with j, the first of ``getrandbits((i + 1).bit_length())``
     draws that is at most i.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     m, s, l, u = params.m, params.s, params.l, params.u
     base_deck = [rank for rank in range(m) for _ in range(s)]
     swaps = [(i, (i + 1).bit_length()) for i in range(len(base_deck) - 1, 0, -1)]
@@ -139,7 +146,7 @@ def simulate(params: GameParams, trials: int, seed: int = 0) -> EmpiricalDistrib
     counts: Counter[tuple[int, Outcome]] = Counter()
     rng = random.Random()
     getrandbits = rng.getrandbits
-    for index in range(trials):
+    for index in range(start, stop):
         rng.seed(_trial_seed(seed, index))
         deck = base_deck.copy()
         for i, k in swaps:
@@ -164,6 +171,63 @@ def simulate(params: GameParams, trials: int, seed: int = 0) -> EmpiricalDistrib
             raise ConsistencyError(f"deal ran through the whole deck for {params}")
         if n > latest:
             raise ConsistencyError(f"deal stopped at draw {n} > {latest} for {params}")
+    return counts
+
+
+def simulate(params: GameParams, trials: int, seed: int = 0) -> EmpiricalDistribution:
+    """Play `trials` independent deals on seeded shuffles and tally outcomes.
+
+    The trials are cut into contiguous blocks, one per usable CPU but none
+    under _MIN_BLOCK deals.  The parent deals the first block; each other
+    block goes to a child made by ``os.fork``, which sends its counts back
+    over a pipe with ``marshal`` and leaves by ``os._exit``, so it never
+    flushes the parent's buffered output.  A child that fails sends nothing,
+    and the parent deals its block again to raise the block's own error;
+    a block that then deals cleanly is still an error.  Trial i rests on
+    ``_trial_seed(seed, i)`` alone, and the blocks are read in order, so the
+    counts (their cells' order too) and the first ConsistencyError are those
+    of one sequential run whatever the number of workers.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    workers = max(1, min(cpus, trials // _MIN_BLOCK)) if hasattr(os, "fork") else 1
+    bounds = [trials * b // workers for b in range(workers + 1)]
+    children = []  # (pid, read end of its pipe, start, stop), in block order
+    try:
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # any failure leaves the pipe empty
+                try:
+                    cells = _deal(params, seed, start, stop)
+                    with open(write_fd, "wb") as pipe:
+                        pipe.write(marshal.dumps({(n, o.value): c for (n, o), c in cells.items()}))
+                finally:
+                    os._exit(0)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb"), start, stop))
+        counts = _deal(params, seed, 0, bounds[1])
+        for pid, pipe, start, stop in children:
+            data = pipe.read()
+            if not data:
+                _deal(params, seed, start, stop)  # raises the block's own error here, if it has one
+                raise RuntimeError(f"Monte Carlo worker {pid} ended without a result")
+            counts.update({(n, Outcome(v)): c for (n, v), c in marshal.loads(data).items()})
+    except BaseException:
+        from signal import SIGKILL
+
+        for pid, *_ in children:
+            os.kill(pid, SIGKILL)
+        raise
+    finally:
+        for pid, pipe, *_ in children:
+            pipe.close()
+            os.waitpid(pid, 0)
+    dealt = sum(counts.values())
+    if dealt != trials:
+        raise ConsistencyError(f"{dealt} deals tallied for {trials} trials of {params}")
     return EmpiricalDistribution(params, trials, counts)
 
 

@@ -221,6 +221,25 @@ class TestVerify:
         assert proc.returncode == 0
         assert "max |z|" in proc.stdout
 
+    def test_forked_monte_carlo_prints_each_line_once(self):
+        # 20000 trials are split across forked workers while stdout is a
+        # block-buffered pipe; the output must be the in-process output, each
+        # line once.  (click.echo flushes every line, so the guard against a
+        # worker flushing the parent's buffer is in tests/test_oracle.py.)
+        args = (
+            "verify", "-m", "13", "-s", "4", "-l", "1", "-u", "3",
+            "--oracle-cap", "52", "--mc-trials", "20000", "--seed", "3",
+        )
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "bandorbump", *args],
+            capture_output=True, text=True, env=env, timeout=TIMEOUT,
+        )
+        expected = CliRunner().invoke(cli.main, list(args))
+        assert (proc.returncode, proc.stdout) == (expected.exit_code, expected.stdout)
+        lines = proc.stdout.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["exhaustive", "monte carlo"], lines
+
     @staticmethod
     def verify_against(monkeypatch, counts: Counter) -> Result:
         # (2, 2, 1, 1) stops at draw 2: band with 2/3, bump with 1/3.

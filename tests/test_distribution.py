@@ -527,6 +527,12 @@ class TestMillerPower:
         with pytest.raises(ConsistencyError, match="Miller's recurrence leaves a remainder"):
             joint_distribution(TINY)
 
+    @pytest.mark.parametrize("poly", [[], [0, 0]])
+    def test_zero_polynomial_is_refused(self, poly):
+        # it has no lowest nonzero coefficient to start the recurrence from
+        with pytest.raises(ValueError, match=rf"^power of the zero polynomial \{poly}$"):
+            distribution.power(poly, 2, 5)
+
 
 def _corrupt_window(monkeypatch, lo: int, hi: int, degree: int) -> None:
     """Add 1 to one coefficient of the engine's window polynomial over [lo, hi]."""

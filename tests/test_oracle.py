@@ -1,6 +1,9 @@
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
@@ -15,9 +18,12 @@ from bandorbump.distribution import (
     Outcome,
     joint_distribution,
 )
+from bandorbump import oracle
 from bandorbump.oracle import (
+    _MIN_BLOCK,
     ComparisonReport,
     EmpiricalDistribution,
+    _deal,
     _trial_seed,
     compare,
     exhaustive_distribution,
@@ -215,6 +221,109 @@ class TestSimulate:
         params = GameParams(*shape)
         emp = simulate(params, 3000, seed=seed)
         assert emp.counts == shuffled_deal_counts(params, 3000, seed)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSplitAcrossWorkers:
+    """simulate deals blocks of trials in forked children; the counts must not see it."""
+
+    @pytest.mark.parametrize("shape", [(13, 4, 1, 3), (3, 3, 0, 2)])
+    def test_counts_do_not_depend_on_the_worker_count(self, monkeypatch, shape):
+        # 4 * _MIN_BLOCK + 3 trials: up to four workers, on blocks of unequal size
+        params, trials = GameParams(*shape), 4 * _MIN_BLOCK + 3
+        expected = shuffled_deal_counts(params, trials, seed=5)
+        for cpus in (1, 2, 3, 4):
+            monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            emp = simulate(params, trials, seed=5)
+            # equal counts, and the cells in the order one sequential run first meets them
+            assert list(emp.counts.items()) == list(expected.items()), cpus
+            assert_no_child_left()
+
+    def test_a_worker_error_is_the_sequential_error(self, monkeypatch):
+        # n_max is the latest stop of the first block, so only the second block
+        # breaks it: the child raises, and the parent must raise its message
+        trials, seed = 2 * _MIN_BLOCK, 1
+        real = GameParams(13, 4, 1, 3)
+        first = max(n for n, _ in _deal(real, seed, 0, _MIN_BLOCK))
+        assert max(n for n, _ in _deal(real, seed, _MIN_BLOCK, trials)) > first
+        params = SimpleNamespace(m=13, s=4, l=1, u=3, n_max=first)
+        messages = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            with pytest.raises(ConsistencyError, match=f"^deal stopped at draw \\d+ > {first} ") as caught:
+                simulate(params, trials, seed)
+            messages.append(str(caught.value))
+            assert_no_child_left()
+        assert messages[0] == messages[1]
+
+    def test_a_deal_through_the_deck_fails_in_every_worker(self, monkeypatch):
+        monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0, 1})
+        params = SimpleNamespace(m=1, s=2, l=3, u=5, n_max=3)
+        message = "deal ran through the whole deck for namespace(m=1, s=2, l=3, u=5, n_max=3)"
+        with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
+            simulate(params, 2 * _MIN_BLOCK)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "fault, error, message",
+        [
+            # the child dies before it writes a thing
+            (lambda params, seed, start, stop: os._exit(0), RuntimeError, "ended without a result"),
+            # the child loses its block's last trial
+            (lambda params, seed, start, stop: _deal(params, seed, start, stop - 1), ConsistencyError,
+             f"^{2 * _MIN_BLOCK - 1} deals tallied for {2 * _MIN_BLOCK} trials of "),
+        ],
+        ids=["silent-death", "lost-trial"],
+    )
+    def test_a_faulty_worker_is_an_error(self, monkeypatch, fault, error, message):
+        monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0, 1})
+        parent = os.getpid()
+
+        def deal(params, seed, start, stop):  # faulty in the child alone
+            return (_deal if os.getpid() == parent else fault)(params, seed, start, stop)
+
+        monkeypatch.setattr(oracle, "_deal", deal)
+        with pytest.raises(error, match=message):
+            simulate(GameParams(3, 3, 1, 2), 2 * _MIN_BLOCK)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("trials", [_MIN_BLOCK - 1, 2 * _MIN_BLOCK - 1])
+    def test_small_runs_never_fork(self, monkeypatch, trials):
+        def refuse():
+            raise AssertionError("simulate forked below _MIN_BLOCK trials per worker")
+
+        monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: set(range(64)))
+        monkeypatch.setattr(oracle.os, "fork", refuse)
+        params = GameParams(3, 3, 1, 2)
+        assert simulate(params, trials, seed=4).counts == shuffled_deal_counts(params, trials, seed=4)
+
+    def test_a_worker_never_flushes_the_parents_output(self):
+        # Into a pipe, stdout is block-buffered, so "before" still waits in the
+        # buffer at the fork; a child that left by a normal exit would flush it too.
+        code = """if True:
+            import os
+            from bandorbump.distribution import GameParams
+            from bandorbump.oracle import _MIN_BLOCK, simulate
+            os.sched_getaffinity = lambda pid: {0, 1}
+            print("before")
+            simulate(GameParams(3, 3, 1, 2), 2 * _MIN_BLOCK)
+            print("after")
+        """
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "before\nafter\n", "")
+
+    def test_no_fork_runs_in_process(self, monkeypatch):
+        monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.delattr(oracle.os, "fork")
+        params = GameParams(3, 3, 0, 2)
+        assert simulate(params, 2 * _MIN_BLOCK).counts == {(1, Outcome.BAND): 2 * _MIN_BLOCK}
 
 
 class TestCompare:

@@ -33,10 +33,15 @@ GAME = ("-m", "3", "-s", "3", "-l", "1", "-u", "2")
         (("dist", *GAME, "--format", "json"), "exactnum.to_decimal"),
         (("payoff", *GAME, "--band", "-3", "--bump", "2"), "distribution.joint"),
         (("verify", *GAME, "--mc-trials", "200"), "oracle.compare"),
+        # 20000 deals fork Monte Carlo workers inside the harness's forked child
+        (("verify", *GAME, "--mc-trials", "20000"), "oracle.mc"),
         (("scan", "nonvacuity", "--m-max", "3", "--s-max", "4"), "analysis.scan"),
         (("scan", "bump-logconcavity", "--m-max", "3", "--s-max", "4"), "analysis.scan"),
     ],
-    ids=["dist-csv", "dist-json", "payoff", "verify-mc", "scan-nonvacuity", "scan-bump-logconcavity"],
+    ids=[
+        "dist-csv", "dist-json", "payoff", "verify-mc", "verify-mc-forked",
+        "scan-nonvacuity", "scan-bump-logconcavity",
+    ],
 )
 def test_traced_op_runs_clean(op, span):
     proc = subprocess.run(
@@ -51,3 +56,13 @@ def test_traced_op_runs_clean(op, span):
     assert result["exit"] == 0, result
     assert result["spans"][0] == "cli"
     assert span in result["spans"], result["spans"]
+
+
+def test_cli_import_loads_no_process_machinery():
+    # The benchmark's set-up child times this import; simulate forks with os
+    # and marshal alone, so none of these may come in with the package.
+    heavy = ["pickle", "multiprocessing", "concurrent.futures", "subprocess"]
+    code = f"import sys, bandorbump.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
