@@ -82,9 +82,14 @@ class _Command(click.Command):
             raise
         except OSError as exc:
             _drop_stdout()
-            error = click.ClickException(f"cannot write stdout: {exc.strerror}")
-            error.exit_code = 2
-            raise error from exc
+            raise _cannot_write("stdout", exc) from exc
+
+
+def _cannot_write(target: str, exc: OSError) -> click.ClickException:
+    """The exit-2 error of every output that cannot be written."""
+    error = click.ClickException(f"cannot write {target}: {exc.strerror}")
+    error.exit_code = 2
+    return error
 
 
 def _drop_stdout() -> None:
@@ -344,10 +349,6 @@ def cmd_scan(kind: str, m_max: int, s_max: int, out: str | None) -> None:
         sys.exit(1)
 
 
-def _cannot_write(path: str, exc: OSError) -> click.BadParameter:
-    return click.BadParameter(f"cannot write {path}: {exc.strerror}", param_hint="'--out'")
-
-
 # ==================== payoff ====================
 
 
@@ -368,7 +369,3 @@ def cmd_payoff(m: int, s: int, l: int, u: int, band_pay: str, bump_pay: str, dig
         raise click.UsageError(str(exc)) from exc
     ev = payoff_ev(joint_distribution(params), payoff)
     click.echo(f"expected payoff: {_rat(ev)} = {to_decimal(ev, digits)}")
-
-
-if __name__ == "__main__":
-    main(prog_name="bandorbump")

@@ -15,8 +15,8 @@ Two routes, sharing no algebra with the formula engine:
   generator, because building a generator per trial and calling
   ``_randbelow`` per swap cost more than playing the deal.  As no trial
   reads another's state, large runs are cut into blocks of trials dealt
-  on every usable CPU by forked children, and the merged counts are the
-  sequential ones whatever the number of workers.
+  on every usable CPU by forked children; the parent deals any block no
+  child returns, so the counts are the sequential ones in every case.
 
 The DP state is the histogram of the tallies: ``h[v]`` ranks hold tally v,
 for 0 <= v <= u.  Both stopping rules and the per-draw transition weights
@@ -181,12 +181,13 @@ def simulate(params: GameParams, trials: int, seed: int = 0) -> EmpiricalDistrib
     under _MIN_BLOCK deals.  The parent deals the first block; each other
     block goes to a child made by ``os.fork``, which sends its counts back
     over a pipe with ``marshal`` and leaves by ``os._exit``, so it never
-    flushes the parent's buffered output.  A child that fails sends nothing,
-    and the parent deals its block again to raise the block's own error;
-    a block that then deals cleanly is still an error.  Trial i rests on
-    ``_trial_seed(seed, i)`` alone, and the blocks are read in order, so the
-    counts (their cells' order too) and the first ConsistencyError are those
-    of one sequential run whatever the number of workers.
+    flushes the parent's buffered output.  The parent deals any block with
+    no worker result (no ``os.fork``, a small run, a failed ``os.pipe`` or
+    ``os.fork``, a child that sent nothing), raising its own error if it
+    has one.  Trial i rests on ``_trial_seed(seed, i)`` alone, and the
+    blocks are merged in order, so the counts (their cells' order too) and
+    the first ConsistencyError are those of one sequential run whatever the
+    number of workers.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -194,37 +195,36 @@ def simulate(params: GameParams, trials: int, seed: int = 0) -> EmpiricalDistrib
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     workers = max(1, min(cpus, trials // _MIN_BLOCK)) if hasattr(os, "fork") else 1
     bounds = [trials * b // workers for b in range(workers + 1)]
-    children = []  # (pid, read end of its pipe, start, stop), in block order
+    children = []  # (pid, read end of its pipe, start, stop) per later block; None where none was made
     try:
         for start, stop in zip(bounds[1:-1], bounds[2:]):
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:  # any failure leaves the pipe empty
-                try:
-                    cells = _deal(params, seed, start, stop)
-                    with open(write_fd, "wb") as pipe:
-                        pipe.write(marshal.dumps({(n, o.value): c for (n, o), c in cells.items()}))
-                finally:
+            pid = pipe = None
+            try:
+                read_fd, write_fd = os.pipe()
+                pipe = open(read_fd, "rb")
+                with open(write_fd, "wb") as sink:  # the parent's write end closes after the fork
+                    pid = os.fork()
+                    if pid == 0:  # any failure leaves the pipe empty
+                        cells = _deal(params, seed, start, stop)
+                        sink.write(marshal.dumps({(n, o.value): c for (n, o), c in cells.items()}))
+            except OSError:  # no pipe or no child: the parent deals the block below
+                pass
+            finally:
+                if pid == 0:  # the child leaves, whatever befell it, without the parent's exit handlers
                     os._exit(0)
-            os.close(write_fd)
-            children.append((pid, open(read_fd, "rb"), start, stop))
+            children.append((pid, pipe, start, stop))
         counts = _deal(params, seed, 0, bounds[1])
-        for pid, pipe, start, stop in children:
-            data = pipe.read()
-            if not data:
-                _deal(params, seed, start, stop)  # raises the block's own error here, if it has one
-                raise RuntimeError(f"Monte Carlo worker {pid} ended without a result")
-            counts.update({(n, Outcome(v)): c for (n, v), c in marshal.loads(data).items()})
-    except BaseException:
-        from signal import SIGKILL
-
-        for pid, *_ in children:
-            os.kill(pid, SIGKILL)
-        raise
+        for _, pipe, start, stop in children:
+            data = pipe and pipe.read()  # empty: no child, or a child that sent nothing
+            cells = marshal.loads(data) if data else _deal(params, seed, start, stop)
+            counts.update({(n, Outcome(v)): c for (n, v), c in cells.items()})  # Outcome(o) is o
     finally:
         for pid, pipe, *_ in children:
-            pipe.close()
-            os.waitpid(pid, 0)
+            if pipe:
+                pipe.close()
+            if pid:
+                os.kill(pid, 9)  # SIGKILL: past an error, a child still dealing is not waited for
+                os.waitpid(pid, 0)
     dealt = sum(counts.values())
     if dealt != trials:
         raise ConsistencyError(f"{dealt} deals tallied for {trials} trials of {params}")

@@ -203,6 +203,35 @@ class TestDistJson:
         assert get_limit() == limit
 
 
+# Runs the CLI on two CPUs, where a fork fails or each forked worker exits
+# before it sends a thing; it fails if simulate never tried a fork.
+_FAULTY_WORKERS = """if True:
+    import errno, os, sys
+    from bandorbump import cli, oracle
+    fault, args = sys.argv[1], sys.argv[2:]
+    real_fork, real_deal, parent, forks = os.fork, oracle._deal, os.getpid(), []
+
+    def fork():
+        forks.append(1)
+        if fault == "failing-fork":
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real_fork()
+
+    def deal(*block):
+        if os.getpid() != parent:
+            os._exit(0)
+        return real_deal(*block)
+
+    os.fork, os.sched_getaffinity = fork, lambda pid: {0, 1}
+    if fault == "silent-worker":
+        oracle._deal = deal
+    try:
+        cli.main(args, prog_name="bandorbump")
+    finally:
+        assert forks, "simulate never tried a fork"
+"""
+
+
 class TestVerify:
     def test_exhaustive_pass(self):
         proc = run_cli("verify", "-m", "2", "-s", "3", "-l", "1", "-u", "2")
@@ -239,6 +268,22 @@ class TestVerify:
         assert (proc.returncode, proc.stdout) == (expected.exit_code, expected.stdout)
         lines = proc.stdout.splitlines()
         assert [line.split(":")[0] for line in lines] == ["exhaustive", "monte carlo"], lines
+
+    @pytest.mark.parametrize("fault", ["failing-fork", "silent-worker"])
+    def test_monte_carlo_without_worker_results_prints_the_same(self, fault):
+        # the parent deals every block no worker returns: the verdict, the
+        # exit code and every line are those of a run with working workers
+        args = (
+            "verify", "-m", "13", "-s", "4", "-l", "1", "-u", "3",
+            "--oracle-cap", "0", "--mc-trials", "20000",
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", _FAULTY_WORKERS, fault, *args],
+            capture_output=True, text=True, timeout=TIMEOUT,
+        )
+        expected = run_cli(*args)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected.stdout, "")
+        assert expected.returncode == 0
 
     @staticmethod
     def verify_against(monkeypatch, counts: Counter) -> Result:
@@ -393,8 +438,7 @@ class TestScan:
         # exit 1 would claim a falsified property; a full device is neither
         proc = run_cli("scan", "nonvacuity", "--m-max", "3", "--s-max", "3", "--out", "/dev/full")
         assert proc.returncode == 2
-        assert "cannot write /dev/full: No space left on device" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert proc.stderr == "Error: cannot write /dev/full: No space left on device\n"
         assert proc.stdout == "nonvacuity: 2 parameter cells, 8 checks, 0 counterexamples\n"
 
     def test_unwritable_out_is_usage_error(self, tmp_path):

@@ -28,7 +28,6 @@ from reference import (
     coupon_band,
     equal_quota,
     point_prob,
-    quota_one_bump,
     rect_prob,
 )
 
@@ -257,14 +256,6 @@ class TestBumpGeneral:
         for t in range(1, 60):
             for n in range(1, t + 1):
                 assert (t - n + 1) * binomial(t, n - 1) == n * binomial(t, n)
-
-    def test_rank_game_bump_against_independent_form(self):
-        # Specialization to l = 1: ranks below quota hold zero cards, so the
-        # rectangle splits and each term reduces to a one-sided cube count.
-        # Recomputed without touching the engine's summand code.
-        dist = joint_distribution(RANK_GAME)
-        for n in range(RANK_GAME.u + 1, RANK_GAME.n_max + 1):
-            assert quota_one_bump(RANK_GAME, n) == dist.bump_mass(n), n
 
     @pytest.mark.parametrize(
         "params", [GameParams(52, 4, 1, 3), GameParams(8, 50, 20, 30), GameParams(400, 4, 1, 3)]

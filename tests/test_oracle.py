@@ -1,9 +1,11 @@
+import errno
 import math
 import os
 import random
 import re
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
@@ -271,8 +273,9 @@ class TestSplitAcrossWorkers:
     @pytest.mark.parametrize(
         "fault, error, message",
         [
-            # the child dies before it writes a thing
-            (lambda params, seed, start, stop: os._exit(0), RuntimeError, "ended without a result"),
+            # the child dies before it writes a thing: the parent deals its
+            # block, and the counts are the sequential ones (error None)
+            (lambda params, seed, start, stop: os._exit(0), None, None),
             # the child loses its block's last trial
             (lambda params, seed, start, stop: _deal(params, seed, start, stop - 1), ConsistencyError,
              f"^{2 * _MIN_BLOCK - 1} deals tallied for {2 * _MIN_BLOCK} trials of "),
@@ -287,8 +290,41 @@ class TestSplitAcrossWorkers:
             return (_deal if os.getpid() == parent else fault)(params, seed, start, stop)
 
         monkeypatch.setattr(oracle, "_deal", deal)
-        with pytest.raises(error, match=message):
-            simulate(GameParams(3, 3, 1, 2), 2 * _MIN_BLOCK)
+        params, trials = GameParams(3, 3, 1, 2), 2 * _MIN_BLOCK
+        if error is None:
+            expected = shuffled_deal_counts(params, trials, seed=0)
+            assert list(simulate(params, trials).counts.items()) == list(expected.items())
+        else:
+            with pytest.raises(error, match=message):
+                simulate(params, trials)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("failing", [{1, 2}, {2}], ids=["every-fork", "second-fork"])
+    def test_a_failed_fork_leaves_its_block_to_the_parent(self, monkeypatch, failing):
+        # three workers, so two forks; a fork that fails must cost neither a
+        # count nor a descriptor
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("needs /proc/self/fd to count open descriptors")
+        monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        fork, calls = os.fork, []
+
+        def flaky_fork():
+            calls.append(len(calls) + 1)
+            if calls[-1] in failing:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return fork()
+
+        monkeypatch.setattr(oracle.os, "fork", flaky_fork)
+        params, trials = GameParams(13, 4, 1, 3), 3 * _MIN_BLOCK + 1
+        expected = shuffled_deal_counts(params, trials, seed=6)
+        before = len(os.listdir("/proc/self/fd"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)  # a pipe left to the collector
+            emp = simulate(params, trials, seed=6)
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert [w for w in caught if w.category is ResourceWarning] == []
+        assert calls == [1, 2]
+        assert list(emp.counts.items()) == list(expected.items())
         assert_no_child_left()
 
     @pytest.mark.parametrize("trials", [_MIN_BLOCK - 1, 2 * _MIN_BLOCK - 1])
