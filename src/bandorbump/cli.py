@@ -2,13 +2,14 @@
 
 Exit codes: 0 success, 1 verification failure or falsified scan property,
 2 usage error (including invalid game parameters) or an output that cannot
-be written.
+be written.  Every output goes through `_write`, the one place a failed write
+becomes exit 2; any other OSError surfaces as itself.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -66,24 +67,6 @@ class _Command(click.Command):
         parser._long_opt.update(parser._short_opt)
         return parser
 
-    def invoke(self, ctx: click.Context):
-        """Run the command and flush stdout here, so a failed write exits 2.
-
-        Unguarded, an unbuffered write fails as a traceback with exit 1, the
-        code of a failed verification, and a buffered one fails at exit with
-        code 120.  A broken pipe is left to click, which exits 1 silently.
-        """
-        try:
-            try:
-                return super().invoke(ctx)
-            finally:
-                sys.stdout.flush()
-        except BrokenPipeError:
-            raise
-        except OSError as exc:
-            _drop_stdout()
-            raise _cannot_write("stdout", exc) from exc
-
 
 def _cannot_write(target: str, exc: OSError) -> click.ClickException:
     """The exit-2 error of every output that cannot be written."""
@@ -101,6 +84,28 @@ def _drop_stdout() -> None:
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, fd)
     os.close(devnull)
+
+
+def _write(text: str, out: io.TextIOWrapper | None = None) -> None:
+    """Write text and a newline to stdout, or to out, which is then closed.
+
+    A failed write exits 2 through `_cannot_write`.  click.echo flushes, so
+    a full stdout fails here, not at exit with code 120; a failed flush of
+    out leaves its bytes for close() to retry, so the close is guarded too.
+    A broken pipe is left to click, which exits 1 silently.
+    """
+    try:
+        if out is None:
+            click.echo(text)
+        else:
+            with out:
+                out.write(f"{text}\n")
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        if out is None:
+            _drop_stdout()
+        raise _cannot_write("stdout" if out is None else out.name, exc) from exc
 
 
 @click.group()
@@ -214,10 +219,11 @@ def cmd_dist(m: int, s: int, l: int, u: int, digits: int, fmt: str) -> None:
     dist = joint_distribution(params)
     report = moments(dist)
     if fmt == "json":
-        click.echo(json.dumps(dist_json(dist, report, digits), indent=2))
+        _write(json.dumps(dist_json(dist, report, digits), indent=2))
         return
     band, bump = report.band, report.bump
-    writer = csv.writer(sys.stdout, lineterminator="\n")
+    table = io.StringIO()
+    writer = csv.writer(table, lineterminator="\n")
     writer.writerow(("n", "P[N=n, band]", "P[N=n, bump]", "P[N=n]", "P[N=n | band]", "P[N=n | bump]"))
     writer.writerows((n, *(_cell(x, digits) for x in row)) for n, *row in _dist_rows(dist))
     writer.writerows(
@@ -230,6 +236,7 @@ def cmd_dist(m: int, s: int, l: int, u: int, digits: int, fmt: str) -> None:
             ),
         )
     )
+    _write(table.getvalue().removesuffix("\n"))
 
 
 # ==================== verify ====================
@@ -265,29 +272,29 @@ def cmd_verify(m: int, s: int, l: int, u: int, mc_trials: int | None, seed: int,
     if exhaustive:
         reference = exhaustive_distribution(params, cap=oracle_cap)
         if dist == reference:
-            click.echo(f"exhaustive: exact match on {len(dist.numerators)} rows")
+            _write(f"exhaustive: exact match on {len(dist.numerators)} rows")
         else:
             failed = True
-            click.echo("exhaustive: MISMATCH")
+            _write("exhaustive: MISMATCH")
             lo = min(dist.first_n, reference.first_n)
             hi = max(dist.last_n, reference.last_n)
             for n in range(lo, hi + 1):
                 fb, ob = dist.band_mass(n), reference.band_mass(n)
                 fp, op = dist.bump_mass(n), reference.bump_mass(n)
                 if fb != ob or fp != op:
-                    click.echo(f"  n={n}: formula ({fb}, {fp}) vs exhaustive ({ob}, {op})")
+                    _write(f"  n={n}: formula ({fb}, {fp}) vs exhaustive ({ob}, {op})")
     else:
-        click.echo(f"exhaustive: skipped (t={params.t} exceeds cap {oracle_cap})")
+        _write(f"exhaustive: skipped (t={params.t} exceeds cap {oracle_cap})")
     if mc_trials is not None:
         empirical = simulate(params, mc_trials, seed)
         report = compare(dist, empirical)
         scored = sum(1 for c in report.cells if c.scored)
-        click.echo(
+        _write(
             f"monte carlo: max |z| = {report.max_abs_z:.3f} over {scored} scored cells "
             f"({mc_trials} trials, threshold {_Z_BOUND})"
         )
         if report.impossible:
-            click.echo(f"monte carlo: {report.impossible} hits on cells of exact probability 0")
+            _write(f"monte carlo: {report.impossible} hits on cells of exact probability 0")
         if report.impossible or report.max_abs_z >= _Z_BOUND:
             failed = True
     sys.exit(1 if failed else 0)
@@ -302,7 +309,7 @@ def cmd_verify(m: int, s: int, l: int, u: int, mc_trials: int | None, seed: int,
 @click.option("--s-max", type=int, default=8, show_default=True)
 @click.option(
     "--out",
-    type=click.Path(dir_okay=False, writable=True),
+    type=click.Path(),
     default=None,
     help="Write the JSON report here instead of stdout.",
 )
@@ -322,29 +329,21 @@ def cmd_scan(kind: str, m_max: int, s_max: int, out: str | None) -> None:
     s_range = (2, s_max)
     # Open --out first, so an unwritable path fails before the scan runs.
     try:
-        sink = contextlib.nullcontext() if out is None else open(out, "w", encoding="utf-8")
+        fh = None if out is None else open(out, "w", encoding="utf-8")
     except OSError as exc:
         raise _cannot_write(out, exc) from exc
-    with sink as fh:
-        if kind == "nonvacuity":
-            report = nonvacuity_scan(m_range, s_range)
-        else:
-            report = bump_logconcavity_scan(m_range, s_range)
-        noun = "counterexamples" if kind == "nonvacuity" else "findings"
-        click.echo(
-            f"{kind}: {report.cells} parameter cells, {report.checks} checks, "
-            f"{len(report.findings)} {noun}"
-        )
-        doc = {"kind": kind, "m_range": m_range, "s_range": s_range, **report._asdict()}
-        doc.update(findings=[f._asdict() for f in report.findings], ok=not report.findings)
-        if fh is None:
-            click.echo(json.dumps(doc, indent=2))
-        else:
-            try:  # closing flushes, so a full device may fail there too
-                with fh:
-                    click.echo(json.dumps(doc, indent=2), file=fh)
-            except OSError as exc:
-                raise _cannot_write(out, exc) from exc
+    if kind == "nonvacuity":
+        report = nonvacuity_scan(m_range, s_range)
+    else:
+        report = bump_logconcavity_scan(m_range, s_range)
+    noun = "counterexamples" if kind == "nonvacuity" else "findings"
+    _write(
+        f"{kind}: {report.cells} parameter cells, {report.checks} checks, "
+        f"{len(report.findings)} {noun}"
+    )
+    doc = {"kind": kind, "m_range": m_range, "s_range": s_range, **report._asdict()}
+    doc.update(findings=[f._asdict() for f in report.findings], ok=not report.findings)
+    _write(json.dumps(doc, indent=2), fh)
     if kind == "nonvacuity" and report.findings:
         sys.exit(1)
 
@@ -368,4 +367,4 @@ def cmd_payoff(m: int, s: int, l: int, u: int, band_pay: str, bump_pay: str, dig
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     ev = payoff_ev(joint_distribution(params), payoff)
-    click.echo(f"expected payoff: {_rat(ev)} = {to_decimal(ev, digits)}")
+    _write(f"expected payoff: {_rat(ev)} = {to_decimal(ev, digits)}")

@@ -145,6 +145,16 @@ def test_no_knob_or_guard_that_says_nothing():
     assert {p.name for p in cli.cmd_verify.params} == {"m", "s", "l", "u", "mc_trials", "seed", "oracle_cap"}
 
 
+def test_one_guard_for_every_write():
+    # A failed write is caught where it is written, never around a whole
+    # command, so no other OSError reads as one.
+    assert "invoke" not in vars(cli._Command)
+    # --out is a plain path; open() reports a directory or a missing parent
+    # as it reports any other output that cannot be written.
+    out = next(p for p in cli.cmd_scan.params if p.name == "out")
+    assert getattr(out.type, "dir_okay", True) and not getattr(out.type, "writable", False)
+
+
 def test_each_decision_lives_in_one_module():
     # The law's denominator comes from its deck alone.
     fields = dataclasses.fields(distribution.JointDistribution)

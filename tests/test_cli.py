@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import json
 import math
@@ -285,6 +286,20 @@ class TestVerify:
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected.stdout, "")
         assert expected.returncode == 0
 
+    def test_other_oserror_is_not_a_write_failure(self, monkeypatch):
+        # only a failed write exits 2; an OSError from the engine is a fault
+        # and surfaces as itself
+        error = OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
+        def fail(params, cap):
+            raise error
+
+        monkeypatch.setattr(cli, "exhaustive_distribution", fail)
+        result = CliRunner().invoke(cli.main, ["verify", "-m", "2", "-s", "3", "-l", "1", "-u", "2"])
+        assert "cannot write stdout" not in result.output
+        assert result.exit_code != 2
+        assert result.exception is error
+
     @staticmethod
     def verify_against(monkeypatch, counts: Counter) -> Result:
         # (2, 2, 1, 1) stops at draw 2: band with 2/3, bump with 1/3.
@@ -450,6 +465,14 @@ class TestScan:
         assert not target.exists()
         assert proc.stdout == ""  # refused before the scan ran
 
+    def test_directory_out_exits_2(self, tmp_path):
+        # open() refuses a directory before the scan runs, with the message of
+        # every other output that cannot be written, not click's usage banner
+        proc = run_cli("scan", "nonvacuity", "--m-max", "2", "--s-max", "3", "--out", str(tmp_path))
+        assert proc.returncode == 2
+        assert proc.stderr == f"Error: cannot write {tmp_path}: Is a directory\n"
+        assert proc.stdout == ""
+
     def test_empty_grid_is_usage_error(self):
         # a grid without a cell 0 < l < u < s would report a vacuous "ok"
         for kind, bound in [("nonvacuity", "--m-max=1"), ("bump-logconcavity", "--s-max=2")]:
@@ -561,6 +584,41 @@ class TestFailedStdout:
             )
         assert proc.returncode == 2
         assert proc.stderr == "Error: cannot write stdout: No space left on device\n"
+
+
+class TestBrokenPipe:
+    GAME = ("-m", "2", "-s", "3", "-l", "1", "-u", "2")
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("dist", *GAME),
+            ("dist", *GAME, "--format", "json"),
+            ("verify", *GAME),
+            ("payoff", *GAME, "--band", "1", "--bump", "0"),
+            ("scan", "nonvacuity", "--m-max", "2", "--s-max", "3"),
+        ],
+        ids=["dist-csv", "dist-json", "verify", "payoff", "scan"],
+    )
+    def test_closed_pipe_exits_1_silently(self, args, unbuffered):
+        # The read end is closed before the run, so the first write fails
+        # whatever the output's size; a reader that closes after one line
+        # would race the pipe's buffer, which can take the whole table.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "bandorbump", *args],
+                stdout=write_fd, stderr=subprocess.PIPE, text=True, env=env, timeout=TIMEOUT,
+            )
+        finally:
+            os.close(write_fd)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
 
 
 _NO_DIFFLIB = """

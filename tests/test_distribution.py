@@ -168,17 +168,21 @@ class TestBandGeneral:
         assert joint_distribution(TINY).band_marginal == Fraction(9, 10)
 
     def test_band_factorization(self):
-        # the closed form is the pinned-last-card chance times the rectangle
-        # probability for the other tallies
-        p = SUIT_GAME
-        dist = joint_distribution(p)
-        for n in range(p.m * p.l, p.n_max + 1):
-            lead = point_prob(n, p.s, p.t, p.l)
-            others = rect_prob(
-                HypergeomSpec(p.m - 1, n - p.l, p.s),
-                Rectangle.cube(p.m - 1, p.l, p.u),
-            )
-            assert dist.band_mass(n) == lead * others
+        # The paper's band form: the pinned-last-card chance times the
+        # rectangle probability of the other m - 1 ranks in [l, u].  That
+        # rectangle's count comes from a chain of truncated products, never
+        # from the engine's power, and the form must give every band row,
+        # the zeros before the first band included, and the band marginal.
+        # (400, 4, 1, 3) takes about 0.4 s.
+        for p in (SUIT_GAME, GameParams(52, 4, 1, 3), GameParams(8, 50, 20, 30), GameParams(400, 4, 1, 3)):
+            dist = joint_distribution(p)
+            others = Rectangle.cube(p.m - 1, p.l, p.u)
+            marginal = Fraction(0)
+            for n in range(p.l, p.n_max + 1):
+                band = point_prob(n, p.s, p.t, p.l) * rect_prob(HypergeomSpec(p.m - 1, n - p.l, p.s), others)
+                assert dist.band_mass(n) == band, (p, n)
+                marginal += band
+            assert dist.band_marginal == marginal, p
 
     def test_lead_factor_identity(self):
         # the pinned-last-card chance rearranges into the product of a

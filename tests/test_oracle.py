@@ -114,6 +114,20 @@ class TestExhaustive:
                         cells += 1
         assert cells == 1312
 
+    def test_agrees_with_formula_engine_on_every_deck_to_forty_cards(self):
+        # every window corner 0 <= l <= u <= s on every deck of t <= 40
+        # cards; the bound 40 is set by the sweep's cost (about 2.5 s)
+        decks = 0
+        for m in range(1, 41):
+            for s in range(1, 40 // m + 1):
+                for u in range(s + 1):
+                    for l in range(u + 1):
+                        params = GameParams(m, s, l, u)
+                        reference = exhaustive_distribution(params, cap=params.t)
+                        assert joint_distribution(params) == reference, params
+                        decks += 1
+        assert decks == 15559
+
     def test_mass_alive_past_the_horizon_is_an_error(self, monkeypatch):
         # (2, 3, 1, 2) stops at draw 3 with probability 2/5; cut the horizon
         # to 2 draws and that mass must be reported, not dropped
