@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 verification failure or falsified scan property,
 2 usage error (including invalid game parameters) or an output that cannot
-be written.  Every output goes through `_write`, the one place a failed write
-becomes exit 2; any other OSError surfaces as itself.
+be written.  `_checked` alone turns a rejected deck or stake into a usage
+error.  Every output, --help pages included, goes through `_write`, the one
+place a failed write becomes exit 2; any other OSError surfaces as itself.
 """
 
 from __future__ import annotations
@@ -36,9 +37,10 @@ from .oracle import compare, exhaustive_distribution, simulate
 _MAX_DIGITS = 1000
 
 
-def _parse_params(m: int, s: int, l: int, u: int) -> GameParams:
+def _checked(make, *args):
+    """make(*args), with the ValueError of a rejected input raised as a usage error (exit 2)."""
     try:
-        return GameParams(m, s, l, u)
+        return make(*args)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
 
@@ -51,6 +53,12 @@ def game_options(fn):
     return fn
 
 
+digits_option = click.option(
+    "--digits", type=click.IntRange(1, _MAX_DIGITS), default=6, show_default=True,
+    help="Significant figures.",
+)
+
+
 class _Command(click.Command):
     """A command whose short options also match on the long-option lookup.
 
@@ -59,13 +67,24 @@ class _Command(click.Command):
     `difflib` (several ms, most of a small command's cold cost), before it
     falls back to the short options. Registering `-m`, `-s`, `-l` and `-u`
     in the long table makes them match at once; it also reads `-m=13` as
-    `-m 13`.
+    `-m 13`.  Its --help page is written through `_write` too.
     """
 
     def make_parser(self, ctx: click.Context):
         parser = super().make_parser(ctx)
         parser._long_opt.update(parser._short_opt)
         return parser
+
+    def get_help_option(self, ctx: click.Context) -> click.Option:
+        option = super().get_help_option(ctx)
+        option.callback = _show_help
+        return option
+
+
+class _Group(_Command, click.Group):
+    """The command group, whose help page is written as its commands' are."""
+
+    command_class = _Command
 
 
 def _cannot_write(target: str, exc: OSError) -> click.ClickException:
@@ -108,12 +127,16 @@ def _write(text: str, out: io.TextIOWrapper | None = None) -> None:
         raise _cannot_write("stdout" if out is None else out.name, exc) from exc
 
 
-@click.group()
+def _show_help(ctx: click.Context, param: click.Parameter, value: bool) -> None:
+    """click's --help callback, writing the page through `_write`."""
+    if value and not ctx.resilient_parsing:
+        _write(ctx.get_help())
+        ctx.exit()
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Exact stopping-time and outcome distributions for band-or-bump deals."""
-
-
-main.command_class = _Command
 
 
 # ==================== dist ====================
@@ -206,16 +229,13 @@ def dist_json(dist: JointDistribution, report: MomentsReport, digits: int) -> di
 
 @main.command("dist")
 @game_options
-@click.option(
-    "--digits", type=click.IntRange(1, _MAX_DIGITS), default=6, show_default=True,
-    help="Significant figures.",
-)
+@digits_option
 @click.option(
     "--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True
 )
 def cmd_dist(m: int, s: int, l: int, u: int, digits: int, fmt: str) -> None:
     """Print the joint stopping-draw/outcome table."""
-    params = _parse_params(m, s, l, u)
+    params = _checked(GameParams, m, s, l, u)
     dist = joint_distribution(params)
     report = moments(dist)
     if fmt == "json":
@@ -260,7 +280,7 @@ _Z_BOUND = 4.0
 )
 def cmd_verify(m: int, s: int, l: int, u: int, mc_trials: int | None, seed: int, oracle_cap: int) -> None:
     """Check the closed forms against independent recomputation."""
-    params = _parse_params(m, s, l, u)
+    params = _checked(GameParams, m, s, l, u)
     exhaustive = params.t <= oracle_cap
     if not exhaustive and mc_trials is None:
         raise click.UsageError(
@@ -337,13 +357,20 @@ def cmd_scan(kind: str, m_max: int, s_max: int, out: str | None) -> None:
     else:
         report = bump_logconcavity_scan(m_range, s_range)
     noun = "counterexamples" if kind == "nonvacuity" else "findings"
-    _write(
-        f"{kind}: {report.cells} parameter cells, {report.checks} checks, "
-        f"{len(report.findings)} {noun}"
-    )
     doc = {"kind": kind, "m_range": m_range, "s_range": s_range, **report._asdict()}
     doc.update(findings=[f._asdict() for f in report.findings], ok=not report.findings)
-    _write(json.dumps(doc, indent=2), fh)
+    text = json.dumps(doc, indent=2)
+    try:
+        _write(
+            f"{kind}: {report.cells} parameter cells, {report.checks} checks, "
+            f"{len(report.findings)} {noun}"
+        )
+    finally:
+        # A stdout that cannot be written still leaves the whole report in --out.
+        if fh is not None:
+            _write(text, fh)
+    if fh is None:
+        _write(text)
     if kind == "nonvacuity" and report.findings:
         sys.exit(1)
 
@@ -355,16 +382,10 @@ def cmd_scan(kind: str, m_max: int, s_max: int, out: str | None) -> None:
 @game_options
 @click.option("--band", "band_pay", type=str, required=True, help="Payout on a band (exact decimal).")
 @click.option("--bump", "bump_pay", type=str, required=True, help="Payout on a bump (exact decimal).")
-@click.option(
-    "--digits", type=click.IntRange(1, _MAX_DIGITS), default=6, show_default=True,
-    help="Significant figures.",
-)
+@digits_option
 def cmd_payoff(m: int, s: int, l: int, u: int, band_pay: str, bump_pay: str, digits: int) -> None:
     """Expected payoff of one deal under per-outcome stakes."""
-    params = _parse_params(m, s, l, u)
-    try:
-        payoff = PayoffSpec.parse(band_pay, bump_pay)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    params = _checked(GameParams, m, s, l, u)
+    payoff = _checked(PayoffSpec.parse, band_pay, bump_pay)
     ev = payoff_ev(joint_distribution(params), payoff)
     _write(f"expected payoff: {_rat(ev)} = {to_decimal(ev, digits)}")

@@ -4,8 +4,8 @@ Two routes, sharing no algebra with the formula engine:
 
 * ``exhaustive_distribution`` runs exact forward dynamic programming over
   tally configurations, applying the stopping rules directly from their
-  definitions.  It is exponential in principle, so it refuses decks larger
-  than a configurable cap.
+  definitions.  A draw holds at most C(m + u, m) tally histograms, so it
+  refuses decks larger than a configurable cap.
 * ``simulate`` plays the game for real on seeded shuffles and tallies the
   empirical law; ``compare`` scores it against an exact law cell by cell.
   Trial i is dealt from the shuffle that

@@ -155,6 +155,18 @@ def test_one_guard_for_every_write():
     assert getattr(out.type, "dir_okay", True) and not getattr(out.type, "writable", False)
 
 
+def test_one_rule_refuses_a_bad_input():
+    # One helper turns a rejected deck or stake into a usage error (exit 2).
+    assert not hasattr(cli, "_parse_params")
+    assert inspect.getsource(cli).count("click.UsageError(str(exc))") == 1
+    # --digits is declared once, so dist and payoff cannot drift apart.
+    dist, payoff = (next(p for p in c.params if p.name == "digits") for c in (cli.cmd_dist, cli.cmd_payoff))
+    for option in (dist, payoff):
+        assert (option.type.min, option.type.max, option.default, option.help) == (
+            1, cli._MAX_DIGITS, 6, "Significant figures.",
+        )
+
+
 def test_each_decision_lives_in_one_module():
     # The law's denominator comes from its deck alone.
     fields = dataclasses.fields(distribution.JointDistribution)

@@ -456,6 +456,24 @@ class TestScan:
         assert proc.stderr == "Error: cannot write /dev/full: No space left on device\n"
         assert proc.stdout == "nonvacuity: 2 parameter cells, 8 checks, 0 counterexamples\n"
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+    def test_failed_stdout_still_writes_the_out_report(self, tmp_path):
+        # The summary fails first, yet the --out file gets the whole report
+        # rather than being left truncated; the run then exits 2 on stdout.
+        args = ("scan", "nonvacuity", "--m-max", "2", "--s-max", "3", "--out")
+        expected = tmp_path / "expected.json"
+        run_cli(*args, str(expected), check=True)
+        target = tmp_path / "r.json"
+        target.write_text("old")
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "bandorbump", *args, str(target)],
+                stdout=full, stderr=subprocess.PIPE, text=True, timeout=TIMEOUT,
+            )
+        assert proc.returncode == 2
+        assert proc.stderr == "Error: cannot write stdout: No space left on device\n"
+        assert target.read_text() == expected.read_text()
+
     def test_unwritable_out_is_usage_error(self, tmp_path):
         target = tmp_path / "missing" / "r.json"
         proc = run_cli("scan", "nonvacuity", "--m-max", "2", "--s-max", "3", "--out", str(target))
@@ -568,8 +586,10 @@ class TestFailedStdout:
             ("verify", *GAME),
             ("payoff", *GAME, "--band", "1", "--bump", "0"),
             ("scan", "nonvacuity", "--m-max", "2", "--s-max", "3"),
+            ("--help",),
+            ("dist", "--help"),
         ],
-        ids=["dist-csv", "dist-json", "verify", "payoff", "scan"],
+        ids=["dist-csv", "dist-json", "verify", "payoff", "scan", "help", "dist-help"],
     )
     def test_full_device_exits_2(self, args, unbuffered):
         # Unbuffered, the write itself fails; buffered, only a flush does, and
@@ -598,8 +618,10 @@ class TestBrokenPipe:
             ("verify", *GAME),
             ("payoff", *GAME, "--band", "1", "--bump", "0"),
             ("scan", "nonvacuity", "--m-max", "2", "--s-max", "3"),
+            ("--help",),
+            ("dist", "--help"),
         ],
-        ids=["dist-csv", "dist-json", "verify", "payoff", "scan"],
+        ids=["dist-csv", "dist-json", "verify", "payoff", "scan", "help", "dist-help"],
     )
     def test_closed_pipe_exits_1_silently(self, args, unbuffered):
         # The read end is closed before the run, so the first write fails

@@ -452,9 +452,12 @@ class TestGeneratingFunctionRows:
                     for n, band, bump in dist.rows:
                         assert (band, bump) == equal_quota(p, n), (p, n)
 
-    @pytest.mark.parametrize("params", [RANK_GAME, SUIT_GAME])
+    # The published decks, and the two benchmark ladder rungs of 104 cards.
+    @pytest.mark.parametrize(
+        "params", [RANK_GAME, SUIT_GAME, GameParams(26, 4, 1, 3), GameParams(8, 13, 5, 8)]
+    )
     def test_published_decks_match_dynamic_programming(self, params):
-        reference = exhaustive_distribution(params, cap=52)
+        reference = exhaustive_distribution(params, cap=params.t)
         assert joint_distribution(params) == reference
 
     def test_fifty_two_rank_deck_matches_dynamic_programming(self):
