@@ -6,13 +6,12 @@ Two routes, sharing no algebra with the formula engine:
   tally configurations, applying the stopping rules directly from their
   definitions.  A draw holds at most C(m + u, m) tally histograms, so it
   refuses decks larger than a configurable cap.
-* ``simulate`` plays the game for real on seeded shuffles and tallies the
-  empirical law; ``compare`` scores it against an exact law cell by cell.
-  Trial i is dealt from the shuffle that
-  ``random.Random(_trial_seed(seed, i)).shuffle`` would make, and
-  ``_trial_seed`` alone defines that seed.  ``simulate`` makes the same
-  ``getrandbits`` calls as ``Random.shuffle`` inline on one reseeded
-  generator, because building a generator per trial and calling
+* ``simulate`` plays seeded deals and tallies them per stopping draw, in a
+  band and a bump column; ``compare`` scores them against an exact law.
+  Trial i is dealt as ``random.Random(_trial_seed(seed, i)).shuffle`` would
+  shuffle it, and ``_trial_seed`` alone defines that seed.  ``simulate``
+  makes the same ``getrandbits`` calls as ``Random.shuffle`` inline on one
+  reseeded generator, because building a generator per trial and calling
   ``_randbelow`` per swap cost more than playing the deal.  As no trial
   reads another's state, large runs are cut into blocks of trials dealt
   on every usable CPU by forked children; the parent deals any block no
@@ -37,8 +36,8 @@ import marshal
 import math
 import os
 import random
-from collections import Counter
 from fractions import Fraction
+from operator import add
 from typing import NamedTuple
 
 from .distribution import ConsistencyError, GameParams, JointDistribution, Outcome
@@ -114,11 +113,12 @@ def exhaustive_distribution(params: GameParams, cap: int = 16) -> JointDistribut
 
 
 class EmpiricalDistribution(NamedTuple):
-    """Outcome tallies from simulated deals."""
+    """Simulated deals per stopping draw n = 0..n_max, in a band and a bump column."""
 
     params: GameParams
     trials: int
-    counts: Counter[tuple[int, Outcome]]
+    band: list[int]
+    bump: list[int]
 
 
 def _trial_seed(seed: int, index: int) -> int:
@@ -132,18 +132,18 @@ def _trial_seed(seed: int, index: int) -> int:
 _MIN_BLOCK = 5000
 
 
-def _deal(params: GameParams, seed: int, start: int, stop: int) -> Counter[tuple[int, Outcome]]:
-    """Tally trials start..stop-1, the only deal loop.
+def _deal(params: GameParams, seed: int, start: int, stop: int) -> tuple[list[int], list[int]]:
+    """Tally trials start..stop-1 into band and bump columns; the only deal loop.
 
     The shuffle is Fisher-Yates from the back, as ``Random.shuffle`` runs it:
     position i swaps with j, the first of ``getrandbits((i + 1).bit_length())``
-    draws that is at most i.
+    draws that is at most i.  A stop past n_max raises before it is tallied.
     """
     m, s, l, u = params.m, params.s, params.l, params.u
     base_deck = [rank for rank in range(m) for _ in range(s)]
     swaps = [(i, (i + 1).bit_length()) for i in range(len(base_deck) - 1, 0, -1)]
     latest = params.n_max
-    counts: Counter[tuple[int, Outcome]] = Counter()
+    band, bump = [0] * (latest + 1), [0] * (latest + 1)
     rng = random.Random()
     getrandbits = rng.getrandbits
     for index in range(start, stop):
@@ -160,34 +160,35 @@ def _deal(params: GameParams, seed: int, start: int, stop: int) -> Counter[tuple
             v = tallies[rank] + 1
             tallies[rank] = v
             if v > u:
-                counts[(n, Outcome.BUMP)] += 1
+                column = bump
                 break
             if v == l:
                 short -= 1
             if short == 0:
-                counts[(n, Outcome.BAND)] += 1
+                column = band
                 break
         else:
             raise ConsistencyError(f"deal ran through the whole deck for {params}")
         if n > latest:
             raise ConsistencyError(f"deal stopped at draw {n} > {latest} for {params}")
-    return counts
+        column[n] += 1
+    return band, bump
 
 
 def simulate(params: GameParams, trials: int, seed: int = 0) -> EmpiricalDistribution:
     """Play `trials` independent deals on seeded shuffles and tally outcomes.
 
     The trials are cut into contiguous blocks, one per usable CPU but none
-    under _MIN_BLOCK deals.  The parent deals the first block; each other
-    block goes to a child made by ``os.fork``, which sends its counts back
-    over a pipe with ``marshal`` and leaves by ``os._exit``, so it never
-    flushes the parent's buffered output.  The parent deals any block with
-    no worker result (no ``os.fork``, a small run, a failed ``os.pipe`` or
-    ``os.fork``, a child that sent nothing), raising its own error if it
-    has one.  Trial i rests on ``_trial_seed(seed, i)`` alone, and the
-    blocks are merged in order, so the counts (their cells' order too) and
-    the first ConsistencyError are those of one sequential run whatever the
-    number of workers.
+    under _MIN_BLOCK deals.  Each block after the first goes to a child made
+    by ``os.fork``, which sends its two columns back over a pipe with
+    ``marshal`` and leaves by ``os._exit``, so it never flushes the parent's
+    buffered output.  One loop then takes the blocks in order and deals in
+    the parent every block with no worker result: the first (the only one
+    with no ``os.fork`` or on a small run), and any whose ``os.pipe`` or
+    ``os.fork`` failed or whose child sent nothing, raising its own error if
+    it has one.  Trial i rests on ``_trial_seed(seed, i)`` alone, so the
+    counts and the first ConsistencyError are those of one sequential run
+    whatever the number of workers.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -195,7 +196,8 @@ def simulate(params: GameParams, trials: int, seed: int = 0) -> EmpiricalDistrib
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     workers = max(1, min(cpus, trials // _MIN_BLOCK)) if hasattr(os, "fork") else 1
     bounds = [trials * b // workers for b in range(workers + 1)]
-    children = []  # (pid, read end of its pipe, start, stop) per later block; None where none was made
+    # (pid, read end of its pipe, start, stop) per block; None where none was made
+    children = [(None, None, 0, bounds[1])]  # the first block is the parent's
     try:
         for start, stop in zip(bounds[1:-1], bounds[2:]):
             pid = pipe = None
@@ -205,19 +207,18 @@ def simulate(params: GameParams, trials: int, seed: int = 0) -> EmpiricalDistrib
                 with open(write_fd, "wb") as sink:  # the parent's write end closes after the fork
                     pid = os.fork()
                     if pid == 0:  # any failure leaves the pipe empty
-                        cells = _deal(params, seed, start, stop)
-                        sink.write(marshal.dumps({(n, o.value): c for (n, o), c in cells.items()}))
+                        sink.write(marshal.dumps(_deal(params, seed, start, stop)))
             except OSError:  # no pipe or no child: the parent deals the block below
                 pass
             finally:
                 if pid == 0:  # the child leaves, whatever befell it, without the parent's exit handlers
                     os._exit(0)
             children.append((pid, pipe, start, stop))
-        counts = _deal(params, seed, 0, bounds[1])
+        band = bump = [0] * (params.n_max + 1)
         for _, pipe, start, stop in children:
-            data = pipe and pipe.read()  # empty: no child, or a child that sent nothing
-            cells = marshal.loads(data) if data else _deal(params, seed, start, stop)
-            counts.update({(n, Outcome(v)): c for (n, v), c in cells.items()})  # Outcome(o) is o
+            data = pipe and pipe.read()  # None: no child; empty: a child that sent nothing
+            block_band, block_bump = marshal.loads(data) if data else _deal(params, seed, start, stop)
+            band, bump = list(map(add, band, block_band)), list(map(add, bump, block_bump))
     finally:
         for pid, pipe, *_ in children:
             if pipe:
@@ -225,10 +226,10 @@ def simulate(params: GameParams, trials: int, seed: int = 0) -> EmpiricalDistrib
             if pid:
                 os.kill(pid, 9)  # SIGKILL: past an error, a child still dealing is not waited for
                 os.waitpid(pid, 0)
-    dealt = sum(counts.values())
+    dealt = sum(band) + sum(bump)
     if dealt != trials:
         raise ConsistencyError(f"{dealt} deals tallied for {trials} trials of {params}")
-    return EmpiricalDistribution(params, trials, counts)
+    return EmpiricalDistribution(params, trials, band, bump)
 
 
 class CellCheck(NamedTuple):
@@ -257,32 +258,29 @@ def compare(exact: JointDistribution, empirical: EmpiricalDistribution) -> Compa
     """Score empirical frequencies against an exact law with binomial z-scores.
 
     The report scores and does not judge: its caller bounds max_abs_z and
-    impossible, the count of hits on cells of exact probability zero.  Cells
-    with exact probability below 1e-5 are reported but not scored; they are
-    too thin for the normal approximation behind the z statistic.  A cell
-    whose probability is 0.0 or 1.0 as a float has no spread, so a frequency
-    off it scores z = +-inf.
+    impossible, the count of hits on cells of exact probability zero.  The
+    cells run over draws 0..n_max, band before bump, less the unhit ones of
+    probability zero.  Cells below 1e-5 are reported but not scored, too thin
+    for the normal approximation behind z.  A cell whose probability is 0.0
+    or 1.0 as a float has no spread, so a frequency off it scores z = +-inf.
     """
     if exact.params != empirical.params:
         raise ValueError("distributions describe different parameters")
     trials = empirical.trials
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    d = exact.denominator
-    draws = set(range(exact.first_n, exact.last_n + 1))
-    draws.update(n for n, _ in empirical.counts)
-    cells = []
-    impossible = 0
-    max_abs_z = 0.0
-    for n in sorted(draws):
-        for outcome in Outcome:
-            p = Fraction(exact.numerator(n, outcome), d)
-            count = empirical.counts.get((n, outcome), 0)
-            if p == 0 and count == 0:
-                continue
+    draws = exact.params.n_max + 1
+    if not len(empirical.band) == len(empirical.bump) == draws:
+        raise ValueError(f"band and bump columns must hold n_max + 1 = {draws} counts")
+    cells, impossible, max_abs_z = [], 0, 0.0
+    for n in range(draws):
+        for outcome, column in ((Outcome.BAND, empirical.band), (Outcome.BUMP, empirical.bump)):
+            p = exact.mass(n, outcome)
+            count = column[n]
             if p == 0:
-                impossible += 1
-                cells.append(CellCheck(n, outcome, p, count, math.inf, True))
+                if count:
+                    impossible += 1
+                    cells.append(CellCheck(n, outcome, p, count, math.inf, True))
                 continue
             pf = float(p)
             se = math.sqrt(pf * (1.0 - pf) / trials)

@@ -121,7 +121,9 @@ def test_only_the_law_types_are_dataclasses():
     # compare's own arguments are not echoed back, and passed was a verdict:
     # verify judges the scores against its own bound.
     assert oracle.ComparisonReport._fields == ("cells", "max_abs_z", "impossible")
-    assert oracle.EmpiricalDistribution._fields == ("params", "trials", "counts")
+    # Monte Carlo tallies are per-draw integer columns, as the engine's rows are.
+    assert oracle.EmpiricalDistribution._fields == ("params", "trials", "band", "bump")
+    assert "Counter" not in vars(oracle)
     # A scan's report holds what it counted; kind and ranges are the caller's
     # own arguments, and ok was the emptiness of findings.
     assert analysis.ScanReport._fields == ("cells", "checks", "findings")

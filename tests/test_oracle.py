@@ -6,7 +6,6 @@ import re
 import subprocess
 import sys
 import warnings
-from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -17,7 +16,6 @@ from bandorbump.distribution import (
     ConsistencyError,
     GameParams,
     JointDistribution,
-    Outcome,
     joint_distribution,
 )
 from bandorbump import oracle
@@ -33,10 +31,11 @@ from bandorbump.oracle import (
 )
 
 
-def shuffled_deal_counts(params: GameParams, trials: int, seed: int) -> Counter:
+def shuffled_deal_counts(params: GameParams, trials: int, seed: int) -> tuple[list[int], list[int]]:
     """Reference for simulate: a fresh generator per trial, random.shuffle, and
-    the stopping rules checked from their definitions on every draw."""
-    counts: Counter = Counter()
+    the stopping rules checked from their definitions on every draw.  Returns
+    the band and bump columns: entry n counts the deals that stopped at draw n."""
+    band, bump = [0] * (params.n_max + 1), [0] * (params.n_max + 1)
     for index in range(trials):
         deck = [rank for rank in range(params.m) for _ in range(params.s)]
         random.Random(_trial_seed(seed, index)).shuffle(deck)
@@ -44,12 +43,18 @@ def shuffled_deal_counts(params: GameParams, trials: int, seed: int) -> Counter:
         for n, rank in enumerate(deck, start=1):
             tallies[rank] += 1
             if tallies[rank] > params.u:
-                counts[(n, Outcome.BUMP)] += 1
+                bump[n] += 1
                 break
             if min(tallies) >= params.l:
-                counts[(n, Outcome.BAND)] += 1
+                band[n] += 1
                 break
-    return counts
+    return band, bump
+
+
+def last_stop(columns: tuple[list[int], list[int]]) -> int:
+    """The latest draw at which a deal tallied in the band and bump columns stopped."""
+    band, bump = columns
+    return max(n for n in range(len(band)) if band[n] or bump[n])
 
 
 def rows_as_dict(dist: JointDistribution) -> dict[int, tuple[Fraction, Fraction]]:
@@ -93,13 +98,6 @@ class TestExhaustive:
         for shape in shapes:
             dist = exhaustive_distribution(GameParams(*shape))
             assert dist.band_marginal + dist.bump_marginal == 1, shape
-
-    def test_agrees_with_formula_engine_smallest_decks(self):
-        # the full t <= 12 sweep lives in the acceptance suite; spot-check a
-        # representative ladder here
-        for shape in [(2, 3, 1, 2), (2, 4, 1, 3), (3, 3, 1, 2), (2, 5, 2, 4), (4, 2, 1, 2)]:
-            params = GameParams(*shape)
-            assert joint_distribution(params) == exhaustive_distribution(params), shape
 
     def test_agrees_with_formula_engine_on_every_small_cell(self):
         # every window corner 0 <= l <= u <= s on every deck with m, s <= 8
@@ -149,26 +147,25 @@ class TestSimulate:
         params = GameParams(2, 3, 1, 2)
         a = simulate(params, 500, seed=11)
         b = simulate(params, 500, seed=11)
-        assert a.counts == b.counts
+        assert (a.band, a.bump) == (b.band, b.bump)
 
     def test_seed_sensitivity(self):
         params = GameParams(2, 3, 1, 2)
         a = simulate(params, 500, seed=11)
         b = simulate(params, 500, seed=12)
-        assert a.counts != b.counts  # 500 deals collide with ~0 probability
+        assert (a.band, a.bump) != (b.band, b.bump)  # 500 deals collide with ~0 probability
 
     def test_trials_conserved(self):
         params = GameParams(3, 3, 1, 2)
         emp = simulate(params, 777, seed=3)
-        assert sum(emp.counts.values()) == 777
+        assert sum(emp.band) + sum(emp.bump) == 777
         assert emp.trials == 777
 
     def test_single_trial(self):
         emp = simulate(GameParams(2, 2, 1, 1), 1, seed=0)
-        assert sum(emp.counts.values()) == 1
-        ((n, outcome),) = emp.counts
-        assert n == 2
-        assert outcome in (Outcome.BAND, Outcome.BUMP)
+        assert len(emp.band) == len(emp.bump) == 3  # draws 0..n_max
+        assert sum(emp.band) + sum(emp.bump) == 1
+        assert emp.band[2] + emp.bump[2] == 1  # (2, 2, 1, 1) stops at draw 2
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
@@ -178,11 +175,11 @@ class TestSimulate:
 
     def test_zero_window_always_bumps_at_one(self):
         emp = simulate(GameParams(3, 4, 0, 0), 100, seed=9)
-        assert emp.counts == {(1, Outcome.BUMP): 100}
+        assert (emp.band, emp.bump) == ([0, 0], [0, 100])
 
     def test_zero_quota_always_bands_at_one(self):
         emp = simulate(GameParams(3, 4, 0, 2), 100, seed=9)
-        assert emp.counts == {(1, Outcome.BAND): 100}
+        assert (emp.band, emp.bump) == ([0, 100], [0, 0])
 
     def test_deal_through_the_whole_deck_is_an_error(self):
         # a quota of 3 in a 2-card rank under a cap of 5: no card can stop play
@@ -201,16 +198,15 @@ class TestSimulate:
     def test_stops_inside_support(self):
         params = GameParams(3, 4, 1, 2)
         emp = simulate(params, 2000, seed=5)
-        for (n, _outcome), count in emp.counts.items():
-            assert 1 <= n <= params.n_max
-            assert count > 0
+        assert len(emp.band) == len(emp.bump) == params.n_max + 1
+        assert emp.band[0] == emp.bump[0] == 0  # no deal stops before its first card
 
     def test_four_card_bump_rate(self):
         # bump probability is exactly 1/3; a million deals must sit within
         # four binomial standard errors
         trials = 10**6
         emp = simulate(GameParams(2, 2, 1, 1), trials, seed=42)
-        bumps = emp.counts[(2, Outcome.BUMP)]
+        bumps = emp.bump[2]
         p = 1 / 3
         se = math.sqrt(p * (1 - p) / trials)
         assert abs(bumps / trials - p) < 4 * se
@@ -236,7 +232,7 @@ class TestSimulate:
         # release changes shuffle's stream, this fails before any output moves
         params = GameParams(*shape)
         emp = simulate(params, 3000, seed=seed)
-        assert emp.counts == shuffled_deal_counts(params, 3000, seed)
+        assert (emp.band, emp.bump) == shuffled_deal_counts(params, 3000, seed)
 
 
 def assert_no_child_left():
@@ -255,8 +251,7 @@ class TestSplitAcrossWorkers:
         for cpus in (1, 2, 3, 4):
             monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
             emp = simulate(params, trials, seed=5)
-            # equal counts, and the cells in the order one sequential run first meets them
-            assert list(emp.counts.items()) == list(expected.items()), cpus
+            assert (emp.band, emp.bump) == expected, cpus
             assert_no_child_left()
 
     def test_a_worker_error_is_the_sequential_error(self, monkeypatch):
@@ -264,8 +259,8 @@ class TestSplitAcrossWorkers:
         # breaks it: the child raises, and the parent must raise its message
         trials, seed = 2 * _MIN_BLOCK, 1
         real = GameParams(13, 4, 1, 3)
-        first = max(n for n, _ in _deal(real, seed, 0, _MIN_BLOCK))
-        assert max(n for n, _ in _deal(real, seed, _MIN_BLOCK, trials)) > first
+        first = last_stop(_deal(real, seed, 0, _MIN_BLOCK))
+        assert last_stop(_deal(real, seed, _MIN_BLOCK, trials)) > first
         params = SimpleNamespace(m=13, s=4, l=1, u=3, n_max=first)
         messages = []
         for cpus in (1, 2):
@@ -306,8 +301,8 @@ class TestSplitAcrossWorkers:
         monkeypatch.setattr(oracle, "_deal", deal)
         params, trials = GameParams(3, 3, 1, 2), 2 * _MIN_BLOCK
         if error is None:
-            expected = shuffled_deal_counts(params, trials, seed=0)
-            assert list(simulate(params, trials).counts.items()) == list(expected.items())
+            emp = simulate(params, trials)
+            assert (emp.band, emp.bump) == shuffled_deal_counts(params, trials, seed=0)
         else:
             with pytest.raises(error, match=message):
                 simulate(params, trials)
@@ -338,7 +333,7 @@ class TestSplitAcrossWorkers:
         assert len(os.listdir("/proc/self/fd")) == before
         assert [w for w in caught if w.category is ResourceWarning] == []
         assert calls == [1, 2]
-        assert list(emp.counts.items()) == list(expected.items())
+        assert (emp.band, emp.bump) == expected
         assert_no_child_left()
 
     @pytest.mark.parametrize("trials", [_MIN_BLOCK - 1, 2 * _MIN_BLOCK - 1])
@@ -349,7 +344,8 @@ class TestSplitAcrossWorkers:
         monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: set(range(64)))
         monkeypatch.setattr(oracle.os, "fork", refuse)
         params = GameParams(3, 3, 1, 2)
-        assert simulate(params, trials, seed=4).counts == shuffled_deal_counts(params, trials, seed=4)
+        emp = simulate(params, trials, seed=4)
+        assert (emp.band, emp.bump) == shuffled_deal_counts(params, trials, seed=4)
 
     def test_a_worker_never_flushes_the_parents_output(self):
         # Into a pipe, stdout is block-buffered, so "before" still waits in the
@@ -372,8 +368,8 @@ class TestSplitAcrossWorkers:
     def test_no_fork_runs_in_process(self, monkeypatch):
         monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.delattr(oracle.os, "fork")
-        params = GameParams(3, 3, 0, 2)
-        assert simulate(params, 2 * _MIN_BLOCK).counts == {(1, Outcome.BAND): 2 * _MIN_BLOCK}
+        emp = simulate(GameParams(3, 3, 0, 2), 2 * _MIN_BLOCK)
+        assert (emp.band, emp.bump) == ([0, 2 * _MIN_BLOCK], [0, 0])
 
 
 class TestCompare:
@@ -386,11 +382,7 @@ class TestCompare:
     def test_expected_counts_give_zero_z(self):
         params = GameParams(2, 2, 1, 1)
         exact = joint_distribution(params)
-        from collections import Counter
-
-        emp = EmpiricalDistribution(
-            params, 300, Counter({(2, Outcome.BAND): 200, (2, Outcome.BUMP): 100})
-        )
+        emp = EmpiricalDistribution(params, 300, [0, 0, 200], [0, 0, 100])
         report = compare(exact, emp)
         assert report.max_abs_z == 0.0
         assert report.impossible == 0
@@ -399,9 +391,7 @@ class TestCompare:
     def test_impossible_cell_fails(self):
         params = GameParams(2, 2, 1, 1)
         exact = joint_distribution(params)
-        from collections import Counter
-
-        emp = EmpiricalDistribution(params, 100, Counter({(1, Outcome.BUMP): 100}))
+        emp = EmpiricalDistribution(params, 100, [0, 0, 0], [0, 100, 0])
         report = compare(exact, emp)
         assert report.impossible == 1
         bad = [c for c in report.cells if c.expected == 0]
@@ -424,12 +414,11 @@ class TestCompare:
 
     def test_certain_cell_off_its_frequency_fails(self):
         # l = 0 bands at the first card with probability 1; a float p of 1.0
-        # has no spread, so a frequency off it scores z = -inf
+        # has no spread, so a frequency off it scores z = -inf.  The other
+        # five deals bump at that card, which the law forbids.
         params = GameParams(2, 3, 0, 2)
         exact = joint_distribution(params)
-        emp = EmpiricalDistribution(
-            params, 10, Counter({(1, Outcome.BAND): 5, (2, Outcome.BAND): 5})
-        )
+        emp = EmpiricalDistribution(params, 10, [0, 5], [0, 5])
         report = compare(exact, emp)
         assert report.impossible == 1
         certain = report.cells[0]
@@ -438,7 +427,7 @@ class TestCompare:
 
     def test_certain_cell_on_its_frequency_passes(self):
         params = GameParams(2, 3, 0, 2)
-        emp = EmpiricalDistribution(params, 10, Counter({(1, Outcome.BAND): 10}))
+        emp = EmpiricalDistribution(params, 10, [0, 10], [0, 0])
         report = compare(joint_distribution(params), emp)
         assert report.impossible == 0
         assert report.max_abs_z < 4.0
@@ -447,8 +436,21 @@ class TestCompare:
     @pytest.mark.parametrize("trials", [0, -5])
     def test_non_positive_trials_rejected(self, trials):
         params = GameParams(2, 2, 1, 1)
-        emp = EmpiricalDistribution(params, trials, Counter())
+        emp = EmpiricalDistribution(params, trials, [0, 0, 0], [0, 0, 0])
         with pytest.raises(ValueError, match=f"^trials must be >= 1, got {trials}$"):
+            compare(joint_distribution(params), emp)
+
+    @pytest.mark.parametrize(
+        "band, bump",
+        [([0, 0, 200], [0, 0]), ([0, 200], [0, 100]), ([0, 0, 200, 0], [0, 0, 100, 0])],
+        ids=["short-bump", "both-short", "both-long"],
+    )
+    def test_columns_off_the_draws_are_refused(self, band, bump):
+        # (2, 2, 1, 1) has draws 0..2; a column of another length would drop
+        # or invent cells unseen
+        params = GameParams(2, 2, 1, 1)
+        emp = EmpiricalDistribution(params, 300, band, bump)
+        with pytest.raises(ValueError, match=r"^band and bump columns must hold n_max \+ 1 = 3 counts$"):
             compare(joint_distribution(params), emp)
 
     def test_realistic_run_passes(self):
