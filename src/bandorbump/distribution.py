@@ -229,14 +229,15 @@ def power(poly: list[int], e: int, degree: int) -> list[int]:
     section 4.7); poly**e is P shifted by low * e.  Each coefficient costs
     two dot products of length at most r and one exact division, so a power
     costs O(degree * r) coefficient operations whatever e is (e = 1 returns
-    poly truncated).  A remainder means the arithmetic is wrong and raises
-    ConsistencyError; the zero polynomial, with no d[0], raises ValueError.
+    poly truncated; a negative degree gives []).  A remainder means the
+    arithmetic is wrong and raises ConsistencyError; the zero polynomial,
+    with no d[0], raises ValueError.
     """
     low = next((i for i, c in enumerate(poly) if c), None)
     if low is None:
         raise ValueError(f"power of the zero polynomial {poly}")
     if e == 1:
-        return poly[: degree + 1]
+        return poly[: max(degree + 1, 0)]
     d0, rest = poly[low], poly[low + 1 :]  # d[0] and d[1..r]
     lift = [(e + 1) * i * c for i, c in enumerate(rest, 1)]  # (e+1) * i * d[i]
     p = [d0**e]
@@ -251,7 +252,7 @@ def power(poly: list[int], e: int, degree: int) -> list[int]:
                 f"Miller's recurrence leaves a remainder at z**{low * e + k} of poly**{e}"
             )
         p.append(q)
-    return ([0] * (low * e) + p)[: degree + 1]
+    return ([0] * (low * e) + p)[: max(degree + 1, 0)]
 
 
 def _gf_rows(params: GameParams) -> tuple[tuple[int, int, int], ...]:

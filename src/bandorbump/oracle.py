@@ -21,8 +21,13 @@ The DP state is the histogram of the tallies: ``h[v]`` ranks hold tally v,
 for 0 <= v <= u.  Both stopping rules and the per-draw transition weights
 depend only on how many ranks hold each tally, so aggregating permutations
 loses nothing, and a draw moves one rank from ``h[v]`` to ``h[v + 1]``.  There
-are at most C(m + u, m) histograms.  Each state carries the integer count of
-ordered deal prefixes (cards told apart) that reach it; every count at draw n
+are at most C(m + u, m) histograms.  A histogram is keyed by the integer
+sum_v h[v] (m + 1)**v, its digits in base m + 1: every digit h[v] is at most
+m < m + 1, so no two histograms share a key, and moving a rank from tally v
+to v + 1 adds the constant m (m + 1)**v.  Each state is a record [count, h,
+ranks still below l], built once, when its histogram is first reached; every
+later transition into it only adds to the count, the integer number of
+ordered deal prefixes (cards told apart) that reach it.  Every count at draw n
 shares the denominator (t)_n = t (t - 1) ... (t - n + 1).  Each emitted
 (n, outcome) cell becomes a numerator over L = lcm(1, ..., t), the one
 denominator of every law (``GameParams.denominator``), as count * L / (t)_n;
@@ -50,7 +55,10 @@ def exhaustive_distribution(params: GameParams, cap: int = 16) -> JointDistribut
     h[v] * (s - v) cards left in ranks at tally v is drawn next, out of
     t - (n - 1).  Drawing from tally u is a bump; a draw that leaves no rank
     below l is a band.  Only dealt states are examined, so the empty tally
-    never counts as a band even when l = 0.
+    never counts as a band even when l = 0.  A transition builds no tuple: the
+    child's key is the parent's plus the lane's step m (m + 1)**v, unique as
+    every digit is at most m, and its record [count, h, short] is built only
+    when no earlier transition reached that key.
     """
     t = params.t
     if t > cap:
@@ -58,8 +66,9 @@ def exhaustive_distribution(params: GameParams, cap: int = 16) -> JointDistribut
     m, s, l, u = params.m, params.s, params.l, params.u
     horizon = params.n_max
     # Draws below tally u: (v, cards left in such a rank, whether the rank
-    # reaches l).  A draw from tally u is a bump, open only when u < s.
-    lanes = [(v, s - v, v == l - 1) for v in range(u)]
+    # reaches l, the key step m (m + 1)**v of moving a rank from v to v + 1).
+    # A draw from tally u is a bump, open only when u < s.
+    lanes = [(v, s - v, v == l - 1, m * (m + 1) ** v) for v in range(u)]
     bump_left = s - u
     # Whether a deal stops at draw n depends only on the set of its first
     # n - 1 cards and on card n, so a cell's count is (n - 1)! times a count
@@ -68,30 +77,29 @@ def exhaustive_distribution(params: GameParams, cap: int = 16) -> JointDistribut
     denominator = params.denominator
     band: dict[int, int] = {}
     bump: dict[int, int] = {}
-    alive: dict[tuple[int, ...], int] = {(m,) + (0,) * u: 1}
+    # key -> [count, h, ranks still below l]; the all-zero tally h = (m, 0, ...) has key m
+    alive: dict[int, list] = {m: [1, (m,) + (0,) * u, m if l else 0]}
     deals = 1  # ordered prefixes of n cards: (t)_n = t (t - 1) ... (t - n + 1)
     for n in range(1, horizon + 1):
         deals *= t - (n - 1)
-        nxt: dict[tuple[int, ...], int] = {}
+        nxt: dict[int, list] = {}
         band_n = bump_n = 0
-        for h, count in alive.items():
-            short = sum(h[:l])  # ranks still below l
-            bump_n += count * h[u] * bump_left
-            child = list(h)
-            for v, left, reaches_l in lanes:
+        for key, (count, h, short) in alive.items():
+            bump_n += count * (h[u] * bump_left)
+            for v, left, reaches_l, step in lanes:
                 k = h[v]
                 if not k:
                     continue
-                w = count * k * left
+                w = count * (k * left)
                 if short - reaches_l == 0:  # the draw leaves no rank below l
                     band_n += w
                     continue
-                child[v] = k - 1
-                child[v + 1] += 1
-                key = tuple(child)
-                nxt[key] = nxt.get(key, 0) + w
-                child[v] = k
-                child[v + 1] -= 1
+                state = nxt.get(key + step)
+                if state is None:
+                    child = h[:v] + (k - 1, h[v + 1] + 1) + h[v + 2 :]
+                    nxt[key + step] = [w, child, short - reaches_l]
+                else:
+                    state[0] += w
         for cells, count in ((band, band_n), (bump, bump_n)):
             if count:
                 cells[n], rest = divmod(count * denominator, deals)
@@ -102,7 +110,7 @@ def exhaustive_distribution(params: GameParams, cap: int = 16) -> JointDistribut
                     )
         alive = nxt
     if alive:
-        leftover = Fraction(sum(alive.values()), deals)
+        leftover = Fraction(sum(state[0] for state in alive.values()), deals)
         raise ConsistencyError(
             f"{leftover} probability mass still alive past draw {horizon} for {params}"
         )

@@ -17,6 +17,9 @@ reaches decks far beyond the rectangle forms.  The engine in ``bandorbump``
 builds every row from generating-function powers by a recurrence instead;
 the tests hold its rows equal to these forms.
 
+For the DP oracle, ``prefix_walk`` finds the whole law of a small deck by
+following every ordered deal until it stops.
+
 Last comes the paper's band theorem: on every general cell the band mass
 sequence is log-concave.
 """
@@ -283,6 +286,45 @@ def equal_quota(params: GameParams, n: int) -> tuple[Fraction, Fraction]:
     prev = rect_prob(HypergeomSpec(params.m, n - 1, params.s), box)
     band = here if n == last else Fraction(0)
     return band, prev - here
+
+
+# ==================== the law, deal by deal ====================
+
+
+def prefix_walk(params: GameParams) -> dict[tuple[int, Outcome], Fraction]:
+    """P[N = n, outcome] for every cell of nonzero mass, by walking every ordered deal.
+
+    Each sequence of ranks is followed card by card until it stops: a card
+    that lifts its rank's tally past u is a bump, and one after which every
+    tally is at least l is a band.  The sequence weighs the exact product of
+    its draw probabilities, (cards of that rank left) / (cards left) at each
+    draw.  The walk keeps one tally per rank, so it shares neither the
+    histogram state of ``oracle.exhaustive_distribution`` nor the engine's
+    generating functions.  Its cost is the number of stopping sequences, so
+    it suits small decks only.
+    """
+    m, s, l, u, t = params.m, params.s, params.l, params.u, params.t
+    tallies = [0] * m
+    # cell -> sum of the products of cards left over its sequences; a
+    # sequence stopping at draw n weighs that product / (t (t - 1) ... (t - n + 1))
+    numerators: dict[tuple[int, Outcome], int] = {}
+
+    def walk(dealt: int, weight: int) -> None:
+        for rank in range(m):
+            left = s - tallies[rank]
+            if not left:
+                continue
+            tallies[rank] += 1
+            outcome = Outcome.BUMP if tallies[rank] > u else Outcome.BAND if min(tallies) >= l else None
+            if outcome is None:
+                walk(dealt + 1, weight * left)
+            else:
+                cell = (dealt + 1, outcome)
+                numerators[cell] = numerators.get(cell, 0) + weight * left
+            tallies[rank] -= 1
+
+    walk(0, 1)
+    return {(n, outcome): Fraction(count, math.perm(t, n)) for (n, outcome), count in numerators.items()}
 
 
 # ==================== the band theorem ====================

@@ -537,6 +537,14 @@ class TestMillerPower:
         assert distribution.power(poly, 1, 2) == poly[:3]
         assert distribution.power([0, 0, 3, 5], 1, 9) == [0, 0, 3, 5]
 
+    @pytest.mark.parametrize("degree", [-1, -2, -3])
+    def test_negative_degree_is_empty(self, degree):
+        # no coefficient lies at or below a negative degree; a slice ending at
+        # degree + 1 < 0 would cut from the end of the list instead
+        for poly in ([0, 1], [1, 2, 1]):
+            for e in (0, 1, 2):
+                assert distribution.power(poly, e, degree) == [], (poly, e)
+
     @pytest.mark.parametrize("poly", [[], [0, 0]])
     def test_zero_polynomial_is_refused(self, poly):
         # it has no lowest nonzero coefficient to start the recurrence from,
