@@ -26,7 +26,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .distribution import GameParams, JointDistribution, Outcome, joint_distribution, power
+from .distribution import GameParams, JointDistribution, joint_distribution, power
 from .hypergeom import window_poly
 
 
@@ -53,8 +53,8 @@ class MomentsReport(NamedTuple):
 
 
 def _conditional(mass: int, first: int, second: int, denominator: int) -> OutcomeMoments:
-    """Moments of one outcome from the numerators, over denominator, of its
-    mass, sum of n*p and sum of n*n*p."""
+    """Moments of one outcome from its mass, sum of n*p and sum of n*n*p,
+    each an integer over denominator."""
     marginal = Fraction(mass, denominator)
     if mass == 0:
         return OutcomeMoments(marginal, None, None)
@@ -65,16 +65,11 @@ def _conditional(mass: int, first: int, second: int, denominator: int) -> Outcom
 
 def moments(dist: JointDistribution) -> MomentsReport:
     """Exact mean/variance of the stopping draw, overall and per outcome."""
-    # Per outcome (band, then bump): numerators over dist.denominator of the
-    # mass, sum of n*p and sum of n*n*p.
-    sums = [[0] * 3 for _ in range(2)]
-    for n, *masses in dist.numerators:
-        for acc, p in zip(sums, masses):
-            if p:
-                acc[0] += p
-                acc[1] += n * p
-                acc[2] += n * n * p
-    band, bump = sums
+    # Per outcome (band, then bump): the mass, sum of n*p and sum of n*n*p,
+    # each an integer over dist.denominator.
+    band, bump = (
+        [sum(n**k * p for n, p in enumerate(column) if p) for k in range(3)] for column in (dist.band, dist.bump)
+    )
     d = dist.denominator
     first = band[1] + bump[1]
     return MomentsReport(
@@ -275,7 +270,7 @@ def bump_logconcavity_scan(
         cells += 1
         dist = joint_distribution(p)
         # Numerators over one denominator: a common scale leaves log-concavity as it is.
-        seq = [dist.numerator(n, Outcome.BUMP) for n in range(p.u + 1, p.n_max + 1)]
+        seq = dist.bump[p.u + 1 :]
         checks += max(len(seq) - 2, 0)
         for i in log_concavity(seq):
             findings.append(

@@ -143,15 +143,15 @@ def main() -> None:
 
 
 def _dist_rows(dist: JointDistribution):
-    """(n, band, bump, total, band | band, bump | bump) for every stored draw.
+    """(n, band, bump, total, band | band, bump | bump) for every draw from the first with mass.
 
     Each value is an unreduced (numerator, denominator) pair; a conditional
     is None when its outcome has no mass.
     """
     d = dist.denominator
-    band_marg = sum(r[1] for r in dist.numerators)
-    bump_marg = sum(r[2] for r in dist.numerators)
-    for n, band, bump in dist.numerators:
+    band_marg, bump_marg = sum(dist.band), sum(dist.bump)
+    for n in range(dist.first_n, len(dist.band)):
+        band, bump = dist.band[n], dist.bump[n]
         yield (
             n,
             (band, d),
@@ -292,13 +292,11 @@ def cmd_verify(m: int, s: int, l: int, u: int, mc_trials: int | None, seed: int,
     if exhaustive:
         reference = exhaustive_distribution(params, cap=oracle_cap)
         if dist == reference:
-            _write(f"exhaustive: exact match on {len(dist.numerators)} rows")
+            _write(f"exhaustive: exact match on {params.n_max + 1 - dist.first_n} rows")
         else:
             failed = True
             _write("exhaustive: MISMATCH")
-            lo = min(dist.first_n, reference.first_n)
-            hi = max(dist.last_n, reference.last_n)
-            for n in range(lo, hi + 1):
+            for n in range(params.n_max + 1):
                 fb, ob = dist.band_mass(n), reference.band_mass(n)
                 fp, op = dist.bump_mass(n), reference.bump_mass(n)
                 if fb != ob or fp != op:

@@ -34,8 +34,8 @@ window, or play would already have stopped on a band).  Each power comes
 from J.C.P. Miller's recurrence, which finds every coefficient of a power
 from the ones before it (see ``power``): O(n_max * u) coefficient
 operations per power whatever m is, where a chain of m - 1 products costs
-O(m * n_max * u).  The row scale from n * C(t, n) to L is one running
-integer, carried from row to row by one multiplication and one exact
+O(m * n_max * u).  The scale from n * C(t, n) to L is one running
+integer, carried from draw to draw by one multiplication and one exact
 division.  The u = s corner (no bump, as s - u = 0) and the l = u corner
 run through the same routine.  Only l = 0, where the deal stops at the
 first card, is special.
@@ -43,9 +43,11 @@ first card, is special.
 The law is carried as integers.  t * C(t-1, k) divides L = lcm(1, ..., t)
 for every k (Farhi, Amer. Math. Monthly 116, 2009), so each cell is an
 integer numerator over the one denominator L, the l = 0 law included, and
-``==`` compares laws by value.  Fractions are formed only where asked for.
+``==`` compares laws by value.  A law holds a band and a bump column with
+one numerator per draw n = 0..n_max, as the Monte Carlo tallies do.
+Fractions are formed only where asked for.
 
-Every row is checked against a second count.  With F = D**m - C**m,
+Every draw is checked against a second count.  With F = D**m - C**m,
 
     P[N > n] = [z**n] F / C(t, n),
 
@@ -55,10 +57,10 @@ n * C(t, n) reads
     band(n) + bump(n) = (t-n+1) * [z**(n-1)] F - n * [z**n] F.
 
 D**m and C**m are each one truncated product past the (m-1)-th powers the
-rows read, so this check sets the recurrence against a convolution.
-[z**n] F must also equal C(t, n) at the draw before the first row and 0 at
-n_max.  A failure raises ConsistencyError, as does a failed mass check.
-Such an error means the engine itself is wrong and must never be swallowed.
+columns read, so this check sets the recurrence against a convolution.
+[z**n] F must also be 1 at n = 0 and 0 at n_max.  A failure raises
+ConsistencyError, as does a failed mass check.  Such an error means the
+engine itself is wrong and must never be swallowed.
 
 The paper writes the bump mass as a sum over the number k of ranks at the
 cap; with A and B one rank's polynomials over [0, l-1] and [l, u-1],
@@ -73,7 +75,7 @@ tallies; ``analysis.bump_k_range`` and ``analysis.bump_kpp_range`` are the
 paper's claims on which (k, k'') can occur, and the non-vacuity scan tests
 them.  The rectangle forms themselves, with the u = s and l = u boundary
 cases, serve tests only: they live in ``tests/reference.py``, and the tests
-hold every row equal to them.  The rows are also validated against
+hold every draw equal to them.  The columns are also validated against
 independent recomputation (exhaustive dynamic programming and Monte Carlo
 in ``oracle``).
 """
@@ -140,33 +142,31 @@ class GameParams:
 
 @dataclass(frozen=True)
 class JointDistribution:
-    """Joint law over (stopping draw n, outcome), stored as integer numerators.
+    """Joint law over (stopping draw n, outcome) as two per-draw integer columns.
 
-    numerators holds (n, band, bump) for every n from the first draw with
-    mass to the last, explicit zeros in between; P[N = n, band] is band /
-    denominator, and likewise for bump.  The denominator is not stored: it
-    is ``params.denominator`` = lcm(1, ..., t), so each law has exactly one
-    representation and ``==`` compares values.  The numerators are
-    non-negative and total exactly the denominator.
+    band[n] and bump[n] are P[N = n, band] and P[N = n, bump] times the
+    denominator, one entry per draw n = 0..n_max, the layout of the Monte
+    Carlo tallies (``oracle.EmpiricalDistribution``).  The denominator is not
+    stored: it is ``params.denominator`` = lcm(1, ..., t), so each law has
+    exactly one representation and ``==`` compares values.  No entry is
+    negative, draw 0 carries no mass and draw n_max some, and the entries
+    total exactly the denominator.
     """
 
     params: GameParams
-    numerators: tuple[tuple[int, int, int], ...]
+    band: tuple[int, ...]
+    bump: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.numerators:
-            raise ValueError("a distribution needs at least one row")
-        first = self.numerators[0][0]
-        total = 0
-        for i, (n, band, bump) in enumerate(self.numerators):
-            if n != first + i:
-                raise ValueError(f"rows must cover consecutive n; gap before n={n}")
-            if band < 0 or bump < 0:
+        draws = self.params.n_max + 1
+        if not len(self.band) == len(self.bump) == draws:
+            raise ValueError(f"band and bump columns must hold n_max + 1 = {draws} entries")
+        for n in range(draws):
+            if self.band[n] < 0 or self.bump[n] < 0:
                 raise ValueError(f"negative mass at n={n}")
-            total += band + bump
-        if not any(self.numerators[0][1:]) or not any(self.numerators[-1][1:]):
-            raise ValueError("the first and last rows must carry mass")
-        d = self.denominator
+        if self.band[0] or self.bump[0] or not (self.band[-1] or self.bump[-1]):
+            raise ValueError("draw 0 must carry no mass and draw n_max some")
+        total, d = sum(self.band) + sum(self.bump), self.denominator
         if total != d:
             raise ConsistencyError(f"total mass is {Fraction(total, d)}, not 1, for {self.params}")
 
@@ -177,40 +177,32 @@ class JointDistribution:
 
     @property
     def first_n(self) -> int:
-        return self.numerators[0][0]
-
-    @property
-    def last_n(self) -> int:
-        return self.numerators[-1][0]
+        """The first draw with mass."""
+        return next(n for n, (band, bump) in enumerate(zip(self.band, self.bump)) if band or bump)
 
     @property
     def rows(self) -> tuple[tuple[int, Fraction, Fraction], ...]:
-        """(n, band mass, bump mass) as Fractions, built anew on every read."""
+        """(n, band mass, bump mass) as Fractions from first_n to n_max, built anew on every read."""
         d = self.denominator
-        return tuple((n, Fraction(band, d), Fraction(bump, d)) for n, band, bump in self.numerators)
-
-    def numerator(self, n: int, outcome: Outcome) -> int:
-        """P[N = n, outcome] times the denominator; 0 outside the stored span."""
-        if self.first_n <= n <= self.last_n:
-            return self.numerators[n - self.first_n][1 if outcome is Outcome.BAND else 2]
-        return 0
-
-    def mass(self, n: int, outcome: Outcome) -> Fraction:
-        return Fraction(self.numerator(n, outcome), self.denominator)
+        return tuple(
+            (n, Fraction(self.band[n], d), Fraction(self.bump[n], d)) for n in range(self.first_n, len(self.band))
+        )
 
     def band_mass(self, n: int) -> Fraction:
-        return self.mass(n, Outcome.BAND)
+        """P[N = n, band]; 0 at any n outside 0..n_max, where a bare read at -1 would wrap."""
+        return Fraction(self.band[n] if 0 <= n < len(self.band) else 0, self.denominator)
 
     def bump_mass(self, n: int) -> Fraction:
-        return self.mass(n, Outcome.BUMP)
+        """P[N = n, bump]; 0 at any n outside 0..n_max."""
+        return Fraction(self.bump[n] if 0 <= n < len(self.bump) else 0, self.denominator)
 
     @property
     def band_marginal(self) -> Fraction:
-        return Fraction(sum(r[1] for r in self.numerators), self.denominator)
+        return Fraction(sum(self.band), self.denominator)
 
     @property
     def bump_marginal(self) -> Fraction:
-        return Fraction(sum(r[2] for r in self.numerators), self.denominator)
+        return Fraction(sum(self.bump), self.denominator)
 
 
 # ==================== assembly ====================
@@ -255,13 +247,12 @@ def power(poly: list[int], e: int, degree: int) -> list[int]:
     return ([0] * (low * e) + p)[: max(degree + 1, 0)]
 
 
-def _gf_rows(params: GameParams) -> tuple[tuple[int, int, int], ...]:
-    """Band and bump numerators over L for l >= 1 from truncated generating-function powers.
+def _gf_rows(params: GameParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Band and bump columns over L for l >= 1 from truncated generating-function powers.
 
-    Row span: n from min(m*l, u+1) through n_max with explicit zeros, so both
-    outcome columns are visible from their earliest possible draw; when u = s
-    no bump exists and the span starts at the first possible band, m*l.  Both
-    ends carry mass (a bump at u + 1 < m*l, bands at m*l and n_max).
+    Both columns cover every draw n = 0..n_max.  Draw 0 is 0; from draw 1 the
+    powers are padded with leading zeros for their negative powers of z, so
+    the survival identity is checked at every draw.
     """
     m, s, l, u, t = params.m, params.s, params.l, params.u, params.t
     top = params.n_max
@@ -273,31 +264,33 @@ def _gf_rows(params: GameParams) -> tuple[tuple[int, int, int], ...]:
     all_capped = truncated_product(capped, under_cap, top)
     in_window = truncated_product(inside, window, top)
     alive = [a - b for a, b in zip(all_capped, in_window, strict=True)]
-    # [z**(n-1-u)] (D**(m-1) - C**(m-1)) at index n; the u + 1 zeros are the negative powers.
+    # [z**(n-l)] C**(m-1) and [z**(n-1-u)] (D**(m-1) - C**(m-1)) at index n;
+    # the l and u + 1 leading zeros are the negative powers.
+    within = [0] * l + inside
     outside = [0] * (u + 1) + [a - b for a, b in zip(capped, inside, strict=True)]
 
-    start = m * l if u == s else min(m * l, u + 1)
-    if alive[top] != 0 or alive[start - 1] != math.comb(t, start - 1):
+    if alive[0] != 1 or alive[top] != 0:
         raise ConsistencyError(
-            f"survival counts {alive[start - 1]} before draw {start} and {alive[top]} "
-            f"after draw {top} are not C(t, {start - 1}) and 0 for {params}"
+            f"survival counts {alive[0]} before draw 1 and {alive[top]} "
+            f"after draw {top} are not 1 and 0 for {params}"
         )
     band_lead = t * math.comb(s - 1, l - 1)
     bump_lead = m * math.comb(s, u) * (s - u)
-    # L / (t * C(t-1, n-1)), an integer at every n, carried from row to row.
-    scale = params.denominator // (t * math.comb(t - 1, start - 1))
-    rows = []
-    for n in range(start, top + 1):
+    band, bump = [0], [0]  # no deal stops before its first card
+    # L / (t * C(t-1, n-1)), an integer at every n, carried from draw to draw.
+    scale = params.denominator // t
+    for n in range(1, top + 1):
         # Numerators over n * C(t, n) = t * C(t - 1, n - 1).
-        band = band_lead * inside[n - l]
-        bump = bump_lead * outside[n]
+        band_n = band_lead * within[n]
+        bump_n = bump_lead * outside[n]
         # P[N = n] = P[N > n - 1] - P[N > n], with P[N > n] = alive[n] / C(t, n).
-        if band + bump != (t - n + 1) * alive[n - 1] - n * alive[n]:
+        if band_n + bump_n != (t - n + 1) * alive[n - 1] - n * alive[n]:
             raise ConsistencyError(f"survival identity fails at {params}, n={n}")
-        rows.append((n, band * scale, bump * scale))
+        band.append(band_n * scale)
+        bump.append(bump_n * scale)
         if n < t:
             scale = scale * n // (t - n)  # C(t-1, n) = C(t-1, n-1) * (t-n) / n
-    return tuple(rows)
+    return tuple(band), tuple(bump)
 
 
 def joint_distribution(params: GameParams) -> JointDistribution:
@@ -305,10 +298,12 @@ def joint_distribution(params: GameParams) -> JointDistribution:
 
     l = 0 stops at the first card: a bump when u = 0 (any card overshoots a
     zero cap), a band otherwise (quotas are met before any draw and one card
-    cannot leave [0, u]); its one row is over L like every other law.  Every
-    l >= 1 runs through the generating-function rows; see ``_gf_rows``.
+    cannot leave [0, u]); its one draw is over L like every other law.  Every
+    l >= 1 runs through the generating-function columns; see ``_gf_rows``.
     """
     if params.l == 0:
-        d = params.denominator
-        return JointDistribution(params, ((1, 0, d) if params.u == 0 else (1, d, 0),))
-    return JointDistribution(params, _gf_rows(params))
+        nothing, everything = (0, 0), (0, params.denominator)
+        if params.u == 0:
+            return JointDistribution(params, nothing, everything)
+        return JointDistribution(params, everything, nothing)
+    return JointDistribution(params, *_gf_rows(params))

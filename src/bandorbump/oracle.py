@@ -28,10 +28,11 @@ to v + 1 adds the constant m (m + 1)**v.  Each state is a record [count, h,
 ranks still below l], built once, when its histogram is first reached; every
 later transition into it only adds to the count, the integer number of
 ordered deal prefixes (cards told apart) that reach it.  Every count at draw n
-shares the denominator (t)_n = t (t - 1) ... (t - n + 1).  Each emitted
-(n, outcome) cell becomes a numerator over L = lcm(1, ..., t), the one
-denominator of every law (``GameParams.denominator``), as count * L / (t)_n;
-that division must be exact, and a remainder raises ConsistencyError.
+shares the denominator (t)_n = t (t - 1) ... (t - n + 1).  Each (n, outcome)
+cell becomes entry n of the band or bump column, a numerator over
+L = lcm(1, ..., t), the one denominator of every law
+(``GameParams.denominator``), as count * L / (t)_n; that division must be
+exact, and a remainder raises ConsistencyError.
 """
 
 from __future__ import annotations
@@ -73,10 +74,9 @@ def exhaustive_distribution(params: GameParams, cap: int = 16) -> JointDistribut
     # Whether a deal stops at draw n depends only on the set of its first
     # n - 1 cards and on card n, so a cell's count is (n - 1)! times a count
     # of such pairs, its probability a multiple of 1 / (t C(t - 1, n - 1)),
-    # and t C(t - 1, n - 1) divides lcm(1, ..., t).  Emit numerators over it.
+    # and t C(t - 1, n - 1) divides lcm(1, ..., t).  Emit each cell over it.
     denominator = params.denominator
-    band: dict[int, int] = {}
-    bump: dict[int, int] = {}
+    band, bump = [0] * (horizon + 1), [0] * (horizon + 1)
     # key -> [count, h, ranks still below l]; the all-zero tally h = (m, 0, ...) has key m
     alive: dict[int, list] = {m: [1, (m,) + (0,) * u, m if l else 0]}
     deals = 1  # ordered prefixes of n cards: (t)_n = t (t - 1) ... (t - n + 1)
@@ -100,9 +100,9 @@ def exhaustive_distribution(params: GameParams, cap: int = 16) -> JointDistribut
                     nxt[key + step] = [w, child, short - reaches_l]
                 else:
                     state[0] += w
-        for cells, count in ((band, band_n), (bump, bump_n)):
+        for column, count in ((band, band_n), (bump, bump_n)):
             if count:
-                cells[n], rest = divmod(count * denominator, deals)
+                column[n], rest = divmod(count * denominator, deals)
                 if rest:
                     raise ConsistencyError(
                         f"mass {count}/{deals} at draw {n} is not a multiple of "
@@ -114,10 +114,7 @@ def exhaustive_distribution(params: GameParams, cap: int = 16) -> JointDistribut
         raise ConsistencyError(
             f"{leftover} probability mass still alive past draw {horizon} for {params}"
         )
-    first = min(band.keys() | bump.keys())
-    last = max(band.keys() | bump.keys())
-    rows = tuple((n, band.get(n, 0), bump.get(n, 0)) for n in range(first, last + 1))
-    return JointDistribution(params, rows)
+    return JointDistribution(params, tuple(band), tuple(bump))
 
 
 class EmpiricalDistribution(NamedTuple):
@@ -280,11 +277,12 @@ def compare(exact: JointDistribution, empirical: EmpiricalDistribution) -> Compa
     draws = exact.params.n_max + 1
     if not len(empirical.band) == len(empirical.bump) == draws:
         raise ValueError(f"band and bump columns must hold n_max + 1 = {draws} counts")
+    columns = ((Outcome.BAND, exact.band, empirical.band), (Outcome.BUMP, exact.bump, empirical.bump))
     cells, impossible, max_abs_z = [], 0, 0.0
     for n in range(draws):
-        for outcome, column in ((Outcome.BAND, empirical.band), (Outcome.BUMP, empirical.bump)):
-            p = exact.mass(n, outcome)
-            count = column[n]
+        for outcome, exact_column, counts in columns:
+            p = Fraction(exact_column[n], exact.denominator)
+            count = counts[n]
             if p == 0:
                 if count:
                     impossible += 1

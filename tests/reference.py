@@ -345,6 +345,6 @@ def band_logconcavity_violations(
         cells += 1
         dist = joint_distribution(p)
         first = p.m * p.l
-        seq = [dist.numerator(n, Outcome.BAND) for n in range(first, p.n_max + 1)]
+        seq = dist.band[first:]
         violations += [(p, first + i) for i in log_concavity(seq)]
     return cells, violations

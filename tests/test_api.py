@@ -121,7 +121,7 @@ def test_only_the_law_types_are_dataclasses():
     # compare's own arguments are not echoed back, and passed was a verdict:
     # verify judges the scores against its own bound.
     assert oracle.ComparisonReport._fields == ("cells", "max_abs_z", "impossible")
-    # Monte Carlo tallies are per-draw integer columns, as the engine's rows are.
+    # Monte Carlo tallies are per-draw integer columns, as the exact law is.
     assert oracle.EmpiricalDistribution._fields == ("params", "trials", "band", "bump")
     assert "Counter" not in vars(oracle)
     # A scan's report holds what it counted; kind and ranges are the caller's
@@ -172,7 +172,7 @@ def test_one_rule_refuses_a_bad_input():
 def test_each_decision_lives_in_one_module():
     # The law's denominator comes from its deck alone.
     fields = dataclasses.fields(distribution.JointDistribution)
-    assert tuple(f.name for f in fields) == ("params", "numerators")
+    assert tuple(f.name for f in fields) == ("params", "band", "bump")
     # moments returns exact values; only the CLI makes decimal text.
     assert "sig_figs" not in inspect.signature(analysis.moments).parameters
     for report in (analysis.MomentsReport, analysis.OutcomeMoments):
@@ -185,3 +185,21 @@ def test_each_decision_lives_in_one_module():
     # the package catches it.
     for path in Path(bandorbump.__file__).parent.glob("*.py"):
         assert not re.search(r"except\b[^:]*ConsistencyError", path.read_text()), path.name
+
+
+def test_exact_and_simulated_laws_share_one_layout():
+    # Both laws are a band and a bump column over draws 0..n_max; the row
+    # span and its lookups are gone, and only the oracle's cells name an outcome.
+    law = distribution.joint_distribution(distribution.GameParams(2, 3, 1, 2))
+    for gone in ("numerators", "numerator", "mass", "last_n"):
+        assert not hasattr(law, gone), gone
+    assert "Outcome" not in vars(analysis)
+    # l = 0, u = s, l = u and a general deck
+    for p in (
+        distribution.GameParams(3, 4, 0, 2),
+        distribution.GameParams(3, 2, 1, 2),
+        distribution.GameParams(2, 3, 2, 2),
+        distribution.GameParams(4, 4, 1, 3),
+    ):
+        exact, simulated = distribution.joint_distribution(p), oracle.simulate(p, 50)
+        assert len(exact.band) == len(exact.bump) == len(simulated.band) == p.n_max + 1, p

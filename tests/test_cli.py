@@ -375,11 +375,9 @@ class TestVerify:
         # from draw 5 to draw 8 stands in for a disagreeing oracle.
         params = GameParams(4, 4, 1, 3)
         law = joint_distribution(params)
-        moved = tuple(
-            (n, band, bump + {5: -720, 8: 720}.get(n, 0)) for n, band, bump in law.numerators
-        )
+        moved = tuple(bump + {5: -720, 8: 720}.get(n, 0) for n, bump in enumerate(law.bump))
         assert law.denominator == 720720
-        reference = JointDistribution(params, moved)
+        reference = JointDistribution(params, law.band, moved)
         monkeypatch.setattr(cli, "exhaustive_distribution", lambda params, cap: reference)
         result = CliRunner().invoke(cli.main, ["verify", "-m", "4", "-s", "4", "-l", "1", "-u", "3"])
         assert result.exit_code == 1

@@ -11,7 +11,6 @@ from bandorbump.distribution import (
     ConsistencyError,
     GameParams,
     JointDistribution,
-    Outcome,
     _gf_rows,
     joint_distribution,
 )
@@ -50,7 +49,7 @@ class TestGameParams:
         # l = 0 meets every quota before the first card, which then stops play
         p = GameParams(m, s, l, u)
         assert p.n_max == 1
-        assert joint_distribution(p).last_n == p.n_max
+        assert joint_distribution(p).first_n == p.n_max
 
     @pytest.mark.parametrize(
         "m, s, l, u",
@@ -93,57 +92,68 @@ class TestGameParams:
 
 
 class TestJointDistributionContainer:
-    # Every law of TINY (t = 6) is over lcm(1, ..., 6) = 60.
+    # Every law of TINY (t = 6, n_max = 3) is over lcm(1, ..., 6) = 60, in
+    # columns of n_max + 1 = 4 draws.
 
-    def test_gap_rejected(self):
-        with pytest.raises(ValueError, match="gap before n=3"):
-            JointDistribution(TINY, ((1, 30, 0), (3, 30, 0)))
+    @pytest.mark.parametrize(
+        "band, bump",
+        [((0, 0, 30), (0, 0, 30)), ((0, 0, 30, 0, 0), (0, 0, 30, 0, 0)), ((0, 0, 30, 30), (0, 0, 0))],
+    )
+    def test_columns_must_hold_every_draw(self, band, bump):
+        with pytest.raises(ValueError, match=r"must hold n_max \+ 1 = 4 entries"):
+            JointDistribution(TINY, band, bump)
 
     def test_negative_mass_rejected(self):
         with pytest.raises(ValueError, match="negative mass at n=1"):
-            JointDistribution(TINY, ((1, 61, -1),))
+            JointDistribution(TINY, (0, 61, 0, 0), (0, -1, 0, 0))
 
     def test_total_off_one_rejected(self):
         with pytest.raises(ConsistencyError, match="total mass is 1/2, not 1"):
-            JointDistribution(TINY, ((1, 30, 0),))
+            JointDistribution(TINY, (0, 0, 0, 30), (0, 0, 0, 0))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            JointDistribution(TINY, ())
+            JointDistribution(TINY, (), ())
 
     def test_every_law_is_over_the_lcm(self):
         # the denominator is derived from params, never stored: the l = 0,
         # generating-function and DP laws all report lcm(1, ..., t)
         params = GameParams(2, 3, 0, 2)
-        assert joint_distribution(params) == JointDistribution(params, ((1, 60, 0),))
+        assert joint_distribution(params) == JointDistribution(params, (0, 60), (0, 0))
         for law in (joint_distribution(params), joint_distribution(TINY), exhaustive_distribution(TINY)):
             assert law.denominator == math.lcm(*range(1, law.params.t + 1)) == 60
         law = joint_distribution(SUIT_GAME)
         assert law.denominator == SUIT_GAME.denominator == math.lcm(*range(1, 53))
 
-    @pytest.mark.parametrize("end", ["first", "last"])
+    @pytest.mark.parametrize("end", ["zero", "last"])
     def test_end_row_without_mass_rejected(self, end):
-        dist = joint_distribution(TINY)
-        rows = dist.numerators
-        if end == "first":
-            rows = ((dist.first_n - 1, 0, 0),) + rows
+        # TINY's law is band (0, 0, 36, 18) and bump (0, 0, 0, 6) over 60;
+        # moving draw 2's band to draw 0, or draw 3's mass to draw 2, keeps
+        # the total at 60.
+        law = joint_distribution(TINY)
+        band, bump = law.band, law.bump
+        if end == "zero":
+            band = (band[2], 0, 0, band[3])
         else:
-            rows = rows + ((dist.last_n + 1, 0, 0),)
-        with pytest.raises(ValueError, match="the first and last rows must carry mass"):
-            JointDistribution(TINY, rows)
+            band, bump = (0, 0, band[2] + band[3], 0), (0, 0, bump[3], 0)
+        with pytest.raises(ValueError, match="draw 0 must carry no mass and draw n_max some"):
+            JointDistribution(TINY, band, bump)
 
     def test_mass_lookup_zero_fills(self):
+        # Outside 0..n_max a mass is 0, never a wrapped read of draw n_max.
         dist = joint_distribution(TINY)
+        assert (dist.band, dist.bump) == ((0, 0, 36, 18), (0, 0, 0, 6))
         assert dist.band_mass(0) == 0
+        assert dist.band_mass(-1) == dist.bump_mass(-1) == 0
+        assert dist.band_mass(TINY.n_max + 1) == dist.bump_mass(TINY.n_max + 1) == 0
         assert dist.bump_mass(99) == 0
-        assert dist.mass(2, Outcome.BAND) == dist.band_mass(2)
-        assert dist.mass(3, Outcome.BUMP) == dist.bump_mass(3)
 
     @pytest.mark.parametrize("params", [RANK_GAME, SUIT_GAME])
     def test_rows_view_equals_the_masses(self, params):
         dist = joint_distribution(params)
+        assert not any(dist.band[: dist.first_n] + dist.bump[: dist.first_n])
         assert dist.rows == tuple(
-            (n, dist.band_mass(n), dist.bump_mass(n)) for n in range(dist.first_n, dist.last_n + 1)
+            (n, dist.band_mass(n), dist.bump_mass(n)) for n in range(dist.first_n, params.n_max + 1)
         )
         assert all(isinstance(x, Fraction) for _, *cells in dist.rows for x in cells)
         with pytest.raises(AttributeError):
@@ -269,11 +279,11 @@ class TestBumpGeneral:
         # and the engine 0.013 s (CPython 3.11, one Xeon vCPU).
         dist = joint_distribution(params)
         sums = bump_by_capped_ranks(params)
-        assert len(sums) == dist.last_n + 1 and not any(sums[: dist.first_n])
-        for n in range(dist.first_n, dist.last_n + 1):
+        assert len(sums) == len(dist.bump) and sums[0] == dist.bump[0] == 0
+        for n in range(1, params.n_max + 1):
             scale, rem = divmod(params.denominator, n * math.comb(params.t, n))
             assert rem == 0
-            assert dist.numerator(n, Outcome.BUMP) == sums[n] * scale, (params, n)
+            assert dist.bump[n] == sums[n] * scale, (params, n)
 
 
 class TestPublishedAnchors:
@@ -300,7 +310,8 @@ class TestPublishedAnchors:
     def test_suit_game_support(self):
         dist = joint_distribution(SUIT_GAME)
         assert dist.first_n == 9
-        assert dist.last_n == 29
+        assert len(dist.band) == len(dist.bump) == 30
+        assert dist.band[29] and dist.bump[29]
 
 
 class TestCouponCase:
@@ -363,20 +374,20 @@ class TestJointDispatch:
     def test_coupon_span(self):
         dist = joint_distribution(GameParams(3, 2, 1, 2))
         assert dist.first_n == 3
-        assert dist.last_n == 5
+        assert len(dist.band) == 6 and dist.band[5]
         assert dist.bump_marginal == 0
 
     def test_equal_quota_span(self):
         dist = joint_distribution(GameParams(2, 3, 2, 2))
         assert dist.first_n == 3
-        assert dist.last_n == 4
+        assert len(dist.band) == 5
         assert dist.band_mass(4) > 0
         assert dist.bump_mass(3) > 0
 
     def test_general_span_shows_both_columns(self):
         dist = joint_distribution(SUIT_GAME)
         assert dist.first_n == min(SUIT_GAME.m * SUIT_GAME.l, SUIT_GAME.u + 1)
-        assert dist.last_n == SUIT_GAME.n_max
+        assert len(dist.band) == len(dist.bump) == SUIT_GAME.n_max + 1
 
     def test_single_rank_deck(self):
         # m = 1: the lone tally walks straight up; first hit decides
@@ -417,12 +428,12 @@ def _bump_by_summands(p: GameParams, n: int) -> Fraction:
 
 
 def _assert_rows_match_rectangle_forms(p: GameParams) -> None:
-    """Every row of a deck, including the zeros, equals its rectangle forms."""
+    """Every draw of a deck, including the zeros, equals its rectangle forms."""
     dist = joint_distribution(p)
-    assert (dist.first_n, dist.last_n) == (min(p.m * p.l, p.u + 1), p.n_max)
-    for n, band, bump in dist.rows:
-        assert band == _band_by_rectangle(p, n), (p, n)
-        assert bump == _bump_by_summands(p, n), (p, n)
+    assert dist.first_n == min(p.m * p.l, p.u + 1)
+    for n in range(p.n_max + 1):
+        assert dist.band_mass(n) == _band_by_rectangle(p, n), (p, n)
+        assert dist.bump_mass(n) == _bump_by_summands(p, n), (p, n)
 
 
 class TestGeneratingFunctionRows:
@@ -441,13 +452,13 @@ class TestGeneratingFunctionRows:
                 for l in range(1, s + 1):
                     p = GameParams(m, s, l, s)
                     dist = joint_distribution(p)
-                    assert (dist.first_n, dist.last_n) == (m * l, p.n_max)
+                    assert dist.first_n == m * l
                     for n, band, bump in dist.rows:
                         assert (band, bump) == (coupon_band(p, n), 0), (p, n)
                 for u in range(1, s):
                     p = GameParams(m, s, u, u)
                     dist = joint_distribution(p)
-                    assert (dist.first_n, dist.last_n) == (min(u + 1, p.n_max), p.n_max)
+                    assert dist.first_n == min(u + 1, p.n_max)
                     for n, band, bump in dist.rows:
                         assert (band, bump) == equal_quota(p, n), (p, n)
 
@@ -481,9 +492,11 @@ class TestGeneratingFunctionRows:
         # No oracle reaches these decks.  The digests were computed once with
         # the engine of commit 751f3d7, which built every power as a chain of
         # truncated products and every row scale from math.comb, taking
-        # seconds per deck; the recurrence must give the same integers.
-        numerators = joint_distribution(params).numerators
-        assert hashlib.sha256(repr(numerators).encode()).hexdigest() == digest
+        # seconds per deck; the recurrence must give the same integers.  They
+        # were hashed as (n, band, bump) triples from the first draw with mass.
+        d = joint_distribution(params)
+        triples = tuple((n, d.band[n], d.bump[n]) for n in range(d.first_n, params.n_max + 1))
+        assert hashlib.sha256(repr(triples).encode()).hexdigest() == digest
 
 
 def _product_chain(poly: list[int], e: int, degree: int) -> list[int]:
@@ -584,7 +597,8 @@ class TestSurvivalCheck:
     """Mutants of the engine's polynomials must trip the survival checks."""
 
     def test_unmutated_engine_passes(self):
-        assert _gf_rows(SUIT_GAME) == joint_distribution(SUIT_GAME).numerators
+        dist = joint_distribution(SUIT_GAME)
+        assert _gf_rows(SUIT_GAME) == (dist.band, dist.bump)
 
     @pytest.mark.parametrize("params", [TINY, RANK_GAME, SUIT_GAME])
     def test_corrupt_bump_coefficient_is_caught(self, monkeypatch, params):
@@ -596,6 +610,15 @@ class TestSurvivalCheck:
         _corrupt_power(monkeypatch, window_poly(p.s, 0, p.u), p.n_max - 1 - p.u, 1)
         with pytest.raises(ConsistencyError, match=message):
             _gf_rows(p)
+
+    @pytest.mark.parametrize("params", [TINY, RANK_GAME, SUIT_GAME])
+    def test_corrupt_constant_term_is_caught(self, monkeypatch, params):
+        # D's constant term C(s, 0) = 1 starts every survival count; a slip
+        # there moves the count at draw 0 off 1, while the count after n_max
+        # stays 0.
+        _corrupt_window(monkeypatch, 0, params.u, 0)
+        with pytest.raises(ConsistencyError, match=r"^survival counts \d+ before draw 1 and 0 after"):
+            _gf_rows(params)
 
     def test_corrupt_survival_counts_are_caught(self, monkeypatch):
         # a slip in the window [0, u] itself reaches D**(m-1) and D**m alike

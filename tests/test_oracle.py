@@ -163,10 +163,10 @@ class TestExhaustive:
                         params = GameParams(m, s, l, u)
                         dist = exhaustive_distribution(params, cap=params.t)
                         cells = {
-                            (n, outcome): dist.mass(n, outcome)
+                            (n, outcome): Fraction(column[n], dist.denominator)
+                            for outcome, column in ((Outcome.BAND, dist.band), (Outcome.BUMP, dist.bump))
                             for n in range(params.n_max + 1)
-                            for outcome in Outcome
-                            if dist.numerator(n, outcome)
+                            if column[n]
                         }
                         assert cells == prefix_walk(params), params
                         decks += 1
