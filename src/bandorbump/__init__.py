@@ -16,12 +16,10 @@ from .distribution import (
     ConsistencyError,
     GameParams,
     JointDistribution,
-    Outcome,
     joint_distribution,
 )
 from .exactnum import sqrt_decimal, to_decimal
 from .oracle import (
-    CellCheck,
     ComparisonReport,
     EmpiricalDistribution,
     compare,
@@ -32,7 +30,6 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CellCheck",
     "ComparisonReport",
     "ConsistencyError",
     "EmpiricalDistribution",
@@ -40,7 +37,6 @@ __all__ = [
     "GameParams",
     "JointDistribution",
     "MomentsReport",
-    "Outcome",
     "OutcomeMoments",
     "PayoffSpec",
     "ScanReport",

@@ -306,9 +306,8 @@ def cmd_verify(m: int, s: int, l: int, u: int, mc_trials: int | None, seed: int,
     if mc_trials is not None:
         empirical = simulate(params, mc_trials, seed)
         report = compare(dist, empirical)
-        scored = sum(1 for c in report.cells if c.scored)
         _write(
-            f"monte carlo: max |z| = {report.max_abs_z:.3f} over {scored} scored cells "
+            f"monte carlo: max |z| = {report.max_abs_z:.3f} over {report.scored} scored cells "
             f"({mc_trials} trials, threshold {_Z_BOUND})"
         )
         if report.impossible:

@@ -86,7 +86,6 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from .hypergeom import truncated_product, window_poly
@@ -94,11 +93,6 @@ from .hypergeom import truncated_product, window_poly
 
 class ConsistencyError(RuntimeError):
     """An internal cross-check failed; the engine's own math is inconsistent."""
-
-
-class Outcome(Enum):
-    BAND = "band"
-    BUMP = "bump"
 
 
 @dataclass(frozen=True)
@@ -158,6 +152,8 @@ class JointDistribution:
     bump: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        for name in ("band", "bump"):  # a list would compare unequal to the tuple and not hash
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         draws = self.params.n_max + 1
         if not len(self.band) == len(self.bump) == draws:
             raise ValueError(f"band and bump columns must hold n_max + 1 = {draws} entries")

@@ -46,7 +46,7 @@ from fractions import Fraction
 from operator import add
 from typing import NamedTuple
 
-from .distribution import ConsistencyError, GameParams, JointDistribution, Outcome
+from .distribution import ConsistencyError, GameParams, JointDistribution
 
 
 def exhaustive_distribution(params: GameParams, cap: int = 16) -> JointDistribution:
@@ -237,20 +237,13 @@ def simulate(params: GameParams, trials: int, seed: int = 0) -> EmpiricalDistrib
     return EmpiricalDistribution(params, trials, band, bump)
 
 
-class CellCheck(NamedTuple):
-    """One (n, outcome) cell of an exact-vs-empirical comparison."""
-
-    n: int
-    outcome: Outcome
-    expected: Fraction
-    count: int
-    z: float
-    scored: bool  # whether the cell enters the pass/fail decision
-
-
 class ComparisonReport(NamedTuple):
-    cells: tuple[CellCheck, ...]
-    max_abs_z: float
+    """Binomial z per cell, in the law's layout: one band and one bump entry per draw 0..n_max."""
+
+    band_z: tuple[float | None, ...]  # None where the law forbids the cell and no deal hit it
+    bump_z: tuple[float | None, ...]
+    scored: int  # cells that enter the pass/fail decision, impossible hits among them
+    max_abs_z: float  # over the scored cells of nonzero probability
     impossible: int  # cells the exact law forbids but the simulation hit
 
 
@@ -263,11 +256,14 @@ def compare(exact: JointDistribution, empirical: EmpiricalDistribution) -> Compa
     """Score empirical frequencies against an exact law with binomial z-scores.
 
     The report scores and does not judge: its caller bounds max_abs_z and
-    impossible, the count of hits on cells of exact probability zero.  The
-    cells run over draws 0..n_max, band before bump, less the unhit ones of
-    probability zero.  Cells below 1e-5 are reported but not scored, too thin
-    for the normal approximation behind z.  A cell whose probability is 0.0
-    or 1.0 as a float has no spread, so a frequency off it scores z = +-inf.
+    impossible, the count of hits on cells of exact probability zero.  Entry
+    n of band_z and bump_z is the z of cell (n, band) and (n, bump): None if
+    the law forbids the cell and no deal hit it, +inf if a deal did, which
+    is an impossible hit, scored but kept out of max_abs_z.  A cell of exact
+    probability p is scored when p >= 1e-5; a thinner one keeps its z but is
+    too thin for the normal approximation behind it.  A cell whose
+    probability is 0.0 or 1.0 as a float has no spread, so a frequency off
+    it scores z = +-inf.
     """
     if exact.params != empirical.params:
         raise ValueError("distributions describe different parameters")
@@ -277,26 +273,26 @@ def compare(exact: JointDistribution, empirical: EmpiricalDistribution) -> Compa
     draws = exact.params.n_max + 1
     if not len(empirical.band) == len(empirical.bump) == draws:
         raise ValueError(f"band and bump columns must hold n_max + 1 = {draws} counts")
-    columns = ((Outcome.BAND, exact.band, empirical.band), (Outcome.BUMP, exact.bump, empirical.bump))
-    cells, impossible, max_abs_z = [], 0, 0.0
-    for n in range(draws):
-        for outcome, exact_column, counts in columns:
-            p = Fraction(exact_column[n], exact.denominator)
-            count = counts[n]
-            if p == 0:
+    denominator = exact.denominator
+    z_columns, scored, impossible, max_abs_z = [], 0, 0, 0.0
+    for exact_column, counts in ((exact.band, empirical.band), (exact.bump, empirical.bump)):
+        zs = []
+        for mass, count in zip(exact_column, counts):
+            if not mass:  # a forbidden cell has no z unless a deal hit it
                 if count:
                     impossible += 1
-                    cells.append(CellCheck(n, outcome, p, count, math.inf, True))
+                zs.append(math.inf if count else None)
                 continue
-            pf = float(p)
+            pf = mass / denominator  # correctly rounded, as float(Fraction(mass, denominator)) is
             se = math.sqrt(pf * (1.0 - pf) / trials)
             freq = count / trials
             if se == 0.0:
                 z = 0.0 if freq == pf else math.copysign(math.inf, freq - pf)
             else:
                 z = (freq - pf) / se
-            scored = pf >= _MIN_SCORED_PROB
-            if scored:
+            if pf >= _MIN_SCORED_PROB:
+                scored += 1
                 max_abs_z = max(max_abs_z, abs(z))
-            cells.append(CellCheck(n, outcome, p, count, z, scored))
-    return ComparisonReport(tuple(cells), max_abs_z, impossible)
+            zs.append(z)
+        z_columns.append(tuple(zs))
+    return ComparisonReport(*z_columns, scored + impossible, max_abs_z, impossible)

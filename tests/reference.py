@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from bandorbump.analysis import _general_grid, log_concavity
-from bandorbump.distribution import GameParams, Outcome, joint_distribution
+from bandorbump.distribution import GameParams, joint_distribution
 from bandorbump.hypergeom import truncated_product, window_poly
 
 
@@ -291,8 +291,8 @@ def equal_quota(params: GameParams, n: int) -> tuple[Fraction, Fraction]:
 # ==================== the law, deal by deal ====================
 
 
-def prefix_walk(params: GameParams) -> dict[tuple[int, Outcome], Fraction]:
-    """P[N = n, outcome] for every cell of nonzero mass, by walking every ordered deal.
+def prefix_walk(params: GameParams) -> tuple[list[Fraction], list[Fraction]]:
+    """The band and bump columns, P[N = n, band] and P[N = n, bump] for n = 0..n_max, by walking every ordered deal.
 
     Each sequence of ranks is followed card by card until it stops: a card
     that lifts its rank's tally past u is a bump, and one after which every
@@ -305,9 +305,9 @@ def prefix_walk(params: GameParams) -> dict[tuple[int, Outcome], Fraction]:
     """
     m, s, l, u, t = params.m, params.s, params.l, params.u, params.t
     tallies = [0] * m
-    # cell -> sum of the products of cards left over its sequences; a
-    # sequence stopping at draw n weighs that product / (t (t - 1) ... (t - n + 1))
-    numerators: dict[tuple[int, Outcome], int] = {}
+    # entry n: the sum of the products of cards left over the sequences that
+    # stop at draw n, each of which weighs that product / (t (t - 1) ... (t - n + 1))
+    band, bump = [0] * (params.n_max + 1), [0] * (params.n_max + 1)
 
     def walk(dealt: int, weight: int) -> None:
         for rank in range(m):
@@ -315,16 +315,17 @@ def prefix_walk(params: GameParams) -> dict[tuple[int, Outcome], Fraction]:
             if not left:
                 continue
             tallies[rank] += 1
-            outcome = Outcome.BUMP if tallies[rank] > u else Outcome.BAND if min(tallies) >= l else None
-            if outcome is None:
+            column = bump if tallies[rank] > u else band if min(tallies) >= l else None
+            if column is None:
                 walk(dealt + 1, weight * left)
             else:
-                cell = (dealt + 1, outcome)
-                numerators[cell] = numerators.get(cell, 0) + weight * left
+                column[dealt + 1] += weight * left
             tallies[rank] -= 1
 
     walk(0, 1)
-    return {(n, outcome): Fraction(count, math.perm(t, n)) for (n, outcome), count in numerators.items()}
+    return [Fraction(c, math.perm(t, n)) for n, c in enumerate(band)], [
+        Fraction(c, math.perm(t, n)) for n, c in enumerate(bump)
+    ]
 
 
 # ==================== the band theorem ====================

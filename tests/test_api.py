@@ -7,7 +7,6 @@ import bandorbump
 from bandorbump import analysis, cli, distribution, exactnum, hypergeom, oracle
 
 SUPPORTED = [
-    "CellCheck",
     "ComparisonReport",
     "ConsistencyError",
     "EmpiricalDistribution",
@@ -15,7 +14,6 @@ SUPPORTED = [
     "GameParams",
     "JointDistribution",
     "MomentsReport",
-    "Outcome",
     "OutcomeMoments",
     "PayoffSpec",
     "ScanReport",
@@ -110,7 +108,7 @@ def test_only_the_law_types_are_dataclasses():
     assert {t.__name__ for t in types if dataclasses.is_dataclass(t)} == {"GameParams", "JointDistribution"}
     records = {t.__name__ for t in types if issubclass(t, tuple)}
     assert records == {
-        "CellCheck", "ComparisonReport", "EmpiricalDistribution", "Finding",
+        "ComparisonReport", "EmpiricalDistribution", "Finding",
         "MomentsReport", "OutcomeMoments", "PayoffSpec", "ScanReport",
     }
     # A record compares equal to the plain tuple of its values and unpacks.
@@ -120,7 +118,8 @@ def test_only_the_law_types_are_dataclasses():
     assert not hasattr(analysis, "LogConcavityResult")
     # compare's own arguments are not echoed back, and passed was a verdict:
     # verify judges the scores against its own bound.
-    assert oracle.ComparisonReport._fields == ("cells", "max_abs_z", "impossible")
+    # The scores come in the law's own layout, a band and a bump column.
+    assert oracle.ComparisonReport._fields == ("band_z", "bump_z", "scored", "max_abs_z", "impossible")
     # Monte Carlo tallies are per-draw integer columns, as the exact law is.
     assert oracle.EmpiricalDistribution._fields == ("params", "trials", "band", "bump")
     assert "Counter" not in vars(oracle)
@@ -188,12 +187,17 @@ def test_each_decision_lives_in_one_module():
 
 
 def test_exact_and_simulated_laws_share_one_layout():
-    # Both laws are a band and a bump column over draws 0..n_max; the row
-    # span and its lookups are gone, and only the oracle's cells name an outcome.
+    # Both laws, and the scores compare gives them, are a band and a bump
+    # column over draws 0..n_max; the row span and its lookups are gone, and
+    # no cell is named by an outcome.
     law = distribution.joint_distribution(distribution.GameParams(2, 3, 1, 2))
     for gone in ("numerators", "numerator", "mass", "last_n"):
         assert not hasattr(law, gone), gone
-    assert "Outcome" not in vars(analysis)
+    for module in (analysis, cli, distribution, exactnum, hypergeom, oracle):
+        for gone in ("Outcome", "CellCheck"):
+            assert gone not in vars(module), (module.__name__, gone)
+    for path in Path(bandorbump.__file__).parent.glob("*.py"):
+        assert not re.search(r"^\s*(import|from)\s+enum\b", path.read_text(), re.M), path.name
     # l = 0, u = s, l = u and a general deck
     for p in (
         distribution.GameParams(3, 4, 0, 2),

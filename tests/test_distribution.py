@@ -159,6 +159,13 @@ class TestJointDistributionContainer:
         with pytest.raises(AttributeError):
             dist.rows = ()
 
+    def test_columns_given_as_lists_are_stored_as_tuples(self):
+        law = joint_distribution(GameParams(2, 3, 1, 2))
+        from_lists = JointDistribution(law.params, list(law.band), list(law.bump))
+        assert from_lists == law
+        assert hash(from_lists) == hash(law)
+        assert (type(from_lists.band), type(from_lists.bump)) == (tuple, tuple)
+
     def test_other_params_are_unequal(self):
         a = joint_distribution(GameParams(2, 2, 1, 1))
         b = joint_distribution(GameParams(2, 2, 1, 2))

@@ -173,6 +173,14 @@ class TestToDecimal:
         with pytest.raises(ValueError):
             to_decimal(Fraction(1, 3), 0)
 
+    def test_a_remainder_of_one_breaks_the_tie(self):
+        # 75001/3 = 25000.33...: the three kept digits 250 sit on a tie, and
+        # the remainder left below them is exactly 1, so the value rounds up.
+        assert to_decimal((75001, 3), 1) == "30000"
+
+    def test_a_pair_over_one_is_an_integer(self):
+        assert to_decimal((3, 1)) == "3.00000"
+
     @given(
         num=st.integers(min_value=-(10**12), max_value=10**12),
         den=st.integers(min_value=1, max_value=10**12),

@@ -16,7 +16,6 @@ from bandorbump.distribution import (
     ConsistencyError,
     GameParams,
     JointDistribution,
-    Outcome,
     joint_distribution,
 )
 from bandorbump import oracle
@@ -162,13 +161,10 @@ class TestExhaustive:
                     for l in range(u + 1):
                         params = GameParams(m, s, l, u)
                         dist = exhaustive_distribution(params, cap=params.t)
-                        cells = {
-                            (n, outcome): Fraction(column[n], dist.denominator)
-                            for outcome, column in ((Outcome.BAND, dist.band), (Outcome.BUMP, dist.bump))
-                            for n in range(params.n_max + 1)
-                            if column[n]
-                        }
-                        assert cells == prefix_walk(params), params
+                        columns = tuple(
+                            [Fraction(mass, dist.denominator) for mass in column] for column in (dist.band, dist.bump)
+                        )
+                        assert prefix_walk(params) == columns, params
                         decks += 1
         assert decks == 228
 
@@ -432,24 +428,27 @@ class TestCompare:
             compare(exact, emp)
 
     def test_expected_counts_give_zero_z(self):
+        # (2, 2, 1, 1) stops only at draw 2: a band with probability 2/3, a
+        # bump with 1/3; the four other cells are forbidden and unhit.
         params = GameParams(2, 2, 1, 1)
         exact = joint_distribution(params)
         emp = EmpiricalDistribution(params, 300, [0, 0, 200], [0, 0, 100])
         report = compare(exact, emp)
-        assert report.max_abs_z == 0.0
-        assert report.impossible == 0
-        assert all(c.z == 0.0 for c in report.cells)
+        assert report == ((None, None, 0.0), (None, None, 0.0), 2, 0.0, 0)
 
     def test_impossible_cell_fails(self):
+        # Every deal bumps at draw 1, which the law forbids: that hit alone is
+        # infinite, it is scored, and the unhit forbidden cells have no z.
         params = GameParams(2, 2, 1, 1)
         exact = joint_distribution(params)
         emp = EmpiricalDistribution(params, 100, [0, 0, 0], [0, 100, 0])
         report = compare(exact, emp)
         assert report.impossible == 1
-        bad = [c for c in report.cells if c.expected == 0]
-        assert len(bad) == 1
-        assert math.isinf(bad[0].z)
-        assert bad[0].count == 100
+        assert report.bump_z[1] == math.inf
+        assert (report.band_z[:2], report.bump_z[0]) == ((None, None), None)
+        assert report.band_z[2] < 0 and report.bump_z[2] < 0
+        assert report.scored == 3
+        assert math.isfinite(report.max_abs_z)
 
     def test_min_prob_marks_thin_cells_unscored(self):
         params = GameParams(4, 13, 5, 8)
@@ -457,12 +456,33 @@ class TestCompare:
         emp = simulate(params, 2000, seed=2)
         report = compare(exact, emp)
         assert isinstance(report, ComparisonReport)
-        thin = [c for c in report.cells if 0 < float(c.expected) < 1e-5]
+        assert report.impossible == 0
+        cells = [
+            (mass / exact.denominator, z)
+            for column, zs in ((exact.band, report.band_z), (exact.bump, report.bump_z))
+            for mass, z in zip(column, zs)
+            if mass
+        ]
+        thin = [z for p, z in cells if p < 1e-5]
         assert thin
-        assert all(not c.scored for c in thin)
-        scored = [c for c in report.cells if c.scored]
+        assert None not in thin  # a thin cell keeps its z
+        scored = [z for p, z in cells if p >= 1e-5]
         assert scored
-        assert report.max_abs_z == max(abs(c.z) for c in scored)
+        assert report.scored == len(scored)
+        assert report.max_abs_z == max(abs(z) for z in scored)
+
+    def test_a_cell_on_the_floor_is_scored(self):
+        # The floor is inclusive: 30990445042459967 / lcm(1, ..., 52) is 1e-5
+        # as a float, so that cell is scored along with the band that takes
+        # the rest of the mass.
+        params = GameParams(4, 13, 5, 8)
+        floor = 30990445042459967
+        assert floor / params.denominator == 1e-5
+        band, bump = [0] * 30, [0] * 30
+        bump[9], band[29] = floor, params.denominator - floor
+        emp = EmpiricalDistribution(params, 100_000, [0] * 29 + [99_999], [0] * 9 + [1] + [0] * 20)
+        report = compare(JointDistribution(params, band, bump), emp)
+        assert (report.scored, report.bump_z[9]) == (2, 0.0)
 
     def test_certain_cell_off_its_frequency_fails(self):
         # l = 0 bands at the first card with probability 1; a float p of 1.0
@@ -472,18 +492,22 @@ class TestCompare:
         exact = joint_distribution(params)
         emp = EmpiricalDistribution(params, 10, [0, 5], [0, 5])
         report = compare(exact, emp)
-        assert report.impossible == 1
-        certain = report.cells[0]
-        assert (certain.n, certain.expected, certain.z, certain.scored) == (1, 1, -math.inf, True)
-        assert report.max_abs_z == math.inf
+        assert report == ((None, -math.inf), (None, math.inf), 2, math.inf, 1)
 
     def test_certain_cell_on_its_frequency_passes(self):
         params = GameParams(2, 3, 0, 2)
         emp = EmpiricalDistribution(params, 10, [0, 10], [0, 0])
         report = compare(joint_distribution(params), emp)
-        assert report.impossible == 0
-        assert report.max_abs_z < 4.0
-        assert [(c.z, c.scored) for c in report.cells] == [(0.0, True)]
+        assert report == ((None, 0.0), (None, None), 1, 0.0, 0)
+
+    def test_a_single_deal_is_scored(self):
+        # One deal is the smallest run: its band at draw 2 lies 1/3 above the
+        # band's 2/3 and the unhit bump 1/3 below, each sqrt(2/9) of spread.
+        params = GameParams(2, 2, 1, 1)
+        emp = EmpiricalDistribution(params, 1, [0, 0, 1], [0, 0, 0])
+        report = compare(joint_distribution(params), emp)
+        assert (report.scored, report.impossible) == (2, 0)
+        assert report.band_z[2] == pytest.approx(math.sqrt(0.5)) == -report.bump_z[2]
 
     @pytest.mark.parametrize("trials", [0, -5])
     def test_non_positive_trials_rejected(self, trials):
@@ -512,7 +536,10 @@ class TestCompare:
         report = compare(exact, emp)
         assert report.max_abs_z < 4.0
         assert report.impossible == 0
-        assert sum(c.count for c in report.cells) == 50_000
+        assert sum(emp.band) + sum(emp.bump) == 50_000
+        for counts, zs in ((emp.band, report.band_z), (emp.bump, report.bump_z)):
+            assert len(zs) == params.n_max + 1
+            assert all(z is not None for count, z in zip(counts, zs) if count)
 
 
 @st.composite
