@@ -4,7 +4,6 @@ from .analysis import (
     Finding,
     MomentsReport,
     OutcomeMoments,
-    PayoffSpec,
     ScanReport,
     bump_logconcavity_scan,
     log_concavity,
@@ -38,7 +37,6 @@ __all__ = [
     "JointDistribution",
     "MomentsReport",
     "OutcomeMoments",
-    "PayoffSpec",
     "ScanReport",
     "bump_logconcavity_scan",
     "compare",

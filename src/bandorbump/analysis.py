@@ -1,9 +1,9 @@
 """Summary statistics and structural scans over the exact stopping law.
 
 Moments are exact: means, variances, marginals and expected payoffs are
-Fractions.  No text is made here; the command line renders the standard
-deviation, an irrational square root, as a correctly rounded decimal from the
-exact variance.
+Fractions.  No text is read or made here: the command line parses the stakes
+and renders the standard deviation, an irrational square root, as a correctly
+rounded decimal from the exact variance.
 
 The scans sweep the paper's general case, 0 < l < u < s, over parameter
 grids; this module alone knows that case.  They check that every term of the
@@ -22,7 +22,6 @@ mean an engine bug; the tests check it on the same grids.
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -82,35 +81,9 @@ def moments(dist: JointDistribution) -> MomentsReport:
 
 # ==================== payoffs ====================
 
-# Fraction("1e-400000") builds 10**400000 and payoff prints every digit of the
-# exact value, so stakes are refused past this exponent; so is an exponent of
-# more than 4 300 digits, which int() refuses to read.
-_MAX_STAKE_EXPONENT = 10_000
-_EXPONENT = re.compile(r"[eE][-+]?(\d+)")
-
-
-class PayoffSpec(NamedTuple):
-    """Stakes per outcome, exact.  Positive favours the player."""
-
-    band: Fraction
-    bump: Fraction
-
-    @classmethod
-    def parse(cls, band: str, bump: str) -> PayoffSpec:
-        """Parse decimal strings ("-3", "0.25") exactly; no binary rounding."""
-        for text in (band, bump):
-            exponent = _EXPONENT.search(text.replace("_", ""))
-            if exponent and (len(exponent[1]) > 4300 or int(exponent[1]) > _MAX_STAKE_EXPONENT):
-                raise ValueError(f"payoff stake {text!r} has an exponent beyond {_MAX_STAKE_EXPONENT}")
-        try:
-            return cls(Fraction(band), Fraction(bump))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"unparseable payoff: {exc}") from exc
-
-
-def payoff_ev(dist: JointDistribution, payoff: PayoffSpec) -> Fraction:
-    """Exact expected payoff of one deal."""
-    return payoff.band * dist.band_marginal + payoff.bump * dist.bump_marginal
+def payoff_ev(dist: JointDistribution, band: Fraction, bump: Fraction) -> Fraction:
+    """Exact expected payoff of one deal under per-outcome stakes; positive favours the player."""
+    return band * dist.band_marginal + bump * dist.bump_marginal
 
 
 # ==================== log-concavity ====================

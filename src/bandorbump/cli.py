@@ -14,6 +14,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -22,7 +23,6 @@ import click
 
 from .analysis import (
     MomentsReport,
-    PayoffSpec,
     bump_logconcavity_scan,
     moments,
     nonvacuity_scan,
@@ -35,6 +35,12 @@ from .oracle import compare, exhaustive_distribution, simulate
 # 1000 significant figures is already far more than any table needs; more
 # would only be needless work.
 _MAX_DIGITS = 1000
+
+# Fraction("1e-400000") builds 10**400000 and payoff prints every digit of the
+# exact value, so stakes are refused past this exponent; so is an exponent of
+# more than 4 300 digits, which int() refuses to read.
+_MAX_STAKE_EXPONENT = 10_000
+_EXPONENT = re.compile(r"[eE][-+]?(\d+)")
 
 
 def _checked(make, *args):
@@ -375,6 +381,17 @@ def cmd_scan(kind: str, m_max: int, s_max: int, out: str | None) -> None:
 # ==================== payoff ====================
 
 
+def _stake(text: str) -> Fraction:
+    """A decimal stake ("-3", "0.25") read exactly, with no binary rounding."""
+    exponent = _EXPONENT.search(text.replace("_", ""))
+    if exponent and (len(exponent[1]) > 4300 or int(exponent[1]) > _MAX_STAKE_EXPONENT):
+        raise ValueError(f"payoff stake {text!r} has an exponent beyond {_MAX_STAKE_EXPONENT}")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"unparseable payoff: {exc}") from exc
+
+
 @main.command("payoff")
 @game_options
 @click.option("--band", "band_pay", type=str, required=True, help="Payout on a band (exact decimal).")
@@ -383,6 +400,6 @@ def cmd_scan(kind: str, m_max: int, s_max: int, out: str | None) -> None:
 def cmd_payoff(m: int, s: int, l: int, u: int, band_pay: str, bump_pay: str, digits: int) -> None:
     """Expected payoff of one deal under per-outcome stakes."""
     params = _checked(GameParams, m, s, l, u)
-    payoff = _checked(PayoffSpec.parse, band_pay, bump_pay)
-    ev = payoff_ev(joint_distribution(params), payoff)
+    band, bump = _checked(_stake, band_pay), _checked(_stake, bump_pay)
+    ev = payoff_ev(joint_distribution(params), band, bump)
     _write(f"expected payoff: {_rat(ev)} = {to_decimal(ev, digits)}")

@@ -121,9 +121,13 @@ class EmpiricalDistribution(NamedTuple):
     """Simulated deals per stopping draw n = 0..n_max, in a band and a bump column."""
 
     params: GameParams
-    trials: int
     band: list[int]
     bump: list[int]
+
+    @property
+    def trials(self) -> int:
+        """Deals tallied: the total of both columns."""
+        return sum(self.band) + sum(self.bump)
 
 
 def _trial_seed(seed: int, index: int) -> int:
@@ -231,10 +235,10 @@ def simulate(params: GameParams, trials: int, seed: int = 0) -> EmpiricalDistrib
             if pid:
                 os.kill(pid, 9)  # SIGKILL: past an error, a child still dealing is not waited for
                 os.waitpid(pid, 0)
-    dealt = sum(band) + sum(bump)
-    if dealt != trials:
-        raise ConsistencyError(f"{dealt} deals tallied for {trials} trials of {params}")
-    return EmpiricalDistribution(params, trials, band, bump)
+    empirical = EmpiricalDistribution(params, band, bump)
+    if empirical.trials != trials:
+        raise ConsistencyError(f"{empirical.trials} deals tallied for {trials} trials of {params}")
+    return empirical
 
 
 class ComparisonReport(NamedTuple):
@@ -263,16 +267,20 @@ def compare(exact: JointDistribution, empirical: EmpiricalDistribution) -> Compa
     probability p is scored when p >= 1e-5; a thinner one keeps its z but is
     too thin for the normal approximation behind it.  A cell whose
     probability is 0.0 or 1.0 as a float has no spread, so a frequency off
-    it scores z = +-inf.
+    it scores z = +-inf.  The trial count is the columns' total, so a
+    negative count, which would cancel a hit unseen, is refused.
     """
     if exact.params != empirical.params:
         raise ValueError("distributions describe different parameters")
-    trials = empirical.trials
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     draws = exact.params.n_max + 1
     if not len(empirical.band) == len(empirical.bump) == draws:
         raise ValueError(f"band and bump columns must hold n_max + 1 = {draws} counts")
+    for n, (band_n, bump_n) in enumerate(zip(empirical.band, empirical.bump)):
+        if min(band_n, bump_n) < 0:
+            raise ValueError(f"negative count at draw {n}: band {band_n}, bump {bump_n}")
+    trials = empirical.trials
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     denominator = exact.denominator
     z_columns, scored, impossible, max_abs_z = [], 0, 0, 0.0
     for exact_column, counts in ((exact.band, empirical.band), (exact.bump, empirical.bump)):

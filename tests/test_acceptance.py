@@ -15,7 +15,6 @@ import time
 from fractions import Fraction
 
 from bandorbump.analysis import (
-    PayoffSpec,
     bump_logconcavity_scan,
     moments,
     nonvacuity_scan,
@@ -111,13 +110,13 @@ def test_criterion_01_published_table_reproduction():
 def test_criterion_02_thirteen_rank_headline():
     dist = joint_distribution(RANK_GAME)
     band = to_decimal(dist.band_marginal, 6)
-    ev = payoff_ev(dist, PayoffSpec(Fraction(-3), Fraction(2)))
+    ev = payoff_ev(dist, Fraction(-3), Fraction(2))
     ok = band == "0.390753" and Fraction(4, 100) < ev < Fraction(5, 100)
     report(2, "thirteen-rank game headline numbers", ok, f"P[band]={band}, ev={float(ev):.6f}")
 
 
 def test_criterion_03_three_cent_claim():
-    ev = payoff_ev(joint_distribution(SUIT_GAME), PayoffSpec(Fraction(2), Fraction(-3)))
+    ev = payoff_ev(joint_distribution(SUIT_GAME), Fraction(2), Fraction(-3))
     ok = Fraction(25, 1000) < ev < Fraction(35, 1000)
     report(3, "four-suit game stakes leave a small edge", ok, f"ev={float(ev):.6f}")
 

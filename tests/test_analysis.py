@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from bandorbump import analysis, cli
 from bandorbump.analysis import (
     Finding,
-    PayoffSpec,
     bump_logconcavity_scan,
     log_concavity,
     moments,
@@ -73,62 +72,70 @@ class TestMoments:
 
 
 class TestPayoff:
+    # payoff_ev takes exact stakes; the command line reads them with cli._stake.
     def test_parse_is_exact_decimal(self):
-        spec = PayoffSpec.parse("0.10", "-3")
-        assert spec.band == Fraction(1, 10)
-        assert spec.bump == Fraction(-3)
+        assert cli._stake("0.10") == Fraction(1, 10)
+        assert cli._stake("-3") == Fraction(-3)
 
     def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            PayoffSpec.parse("two dollars", "1")
+        with pytest.raises(ValueError, match="^unparseable payoff: "):
+            cli._stake("two dollars")
 
-    @pytest.mark.parametrize("text", ["1e-10000", "1E+10_000", "-2.5e0000000000000003", "1e٣"])
-    def test_parse_accepts_exponents_up_to_the_bound(self, text):
-        assert PayoffSpec.parse(text, "0").band == Fraction(text)
+    def test_parse_rejects_a_zero_denominator(self):
+        with pytest.raises(ValueError, match=r"^unparseable payoff: Fraction\(1, 0\)$"):
+            cli._stake("1/0")
 
     @pytest.mark.parametrize(
         "text",
-        ["1e-10001", "1E+10_001", "3e1000000", "1e-٠٠٣٠٠٠٠", "1e-" + "9" * 5000],
-        ids=["1e-10001", "1E+10_001", "3e1000000", "Arabic-Indic 30000", "5000-digit exponent"],
+        # int() reads an exponent of 4 300 digits, so only the bound judges the last one, 3
+        ["1e-10000", "1E+10_000", "-2.5e0000000000000003", "1e٣",
+         pytest.param("1e-" + "0" * 4299 + "3", id="4300-digit exponent")],
+    )
+    def test_parse_accepts_exponents_up_to_the_bound(self, text):
+        assert cli._stake(text) == Fraction(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1e-10001", "1E+10_001", "3e1000000", "1e-٠٠٣٠٠٠٠", "1e-" + "9" * 4301, "1e-" + "9" * 5000],
+        ids=["1e-10001", "1E+10_001", "3e1000000", "Arabic-Indic 30000", "4301-digit exponent", "5000-digit exponent"],
     )
     def test_parse_refuses_exponents_past_the_bound(self, monkeypatch, text):
         # the refusal comes before any Fraction is built
         def unreachable(text):
             raise AssertionError(f"built Fraction({text[:20]!r})")
 
-        monkeypatch.setattr(analysis, "Fraction", unreachable)
+        monkeypatch.setattr(cli, "Fraction", unreachable)
         with pytest.raises(ValueError, match="has an exponent beyond 10000$"):
-            PayoffSpec.parse(text, "0")
+            cli._stake(text)
 
     def test_rank_game_headline_value(self):
         # +2 on a bump, -3 on a band: small positive edge
         dist = joint_distribution(RANK_GAME)
-        ev = payoff_ev(dist, PayoffSpec.parse("-3", "2"))
+        ev = payoff_ev(dist, Fraction(-3), Fraction(2))
         assert Fraction(4, 100) < ev < Fraction(5, 100)
 
     def test_suit_game_headline_value(self):
         # +2 on a band, -3 on a bump: smaller positive edge
         dist = joint_distribution(SUIT_GAME)
-        ev = payoff_ev(dist, PayoffSpec.parse("2", "-3"))
+        ev = payoff_ev(dist, Fraction(2), Fraction(-3))
         assert Fraction(25, 1000) < ev < Fraction(35, 1000)
 
     def test_zero_spec(self):
         dist = joint_distribution(GameParams(2, 3, 1, 2))
-        assert payoff_ev(dist, PayoffSpec.parse("0", "0")) == 0
+        assert payoff_ev(dist, Fraction(0), Fraction(0)) == 0
 
     def test_linearity(self):
         dist = joint_distribution(GameParams(2, 3, 1, 2))
-        base = PayoffSpec(Fraction(7, 3), Fraction(-11, 5))
-        scaled = PayoffSpec(base.band * 6, base.bump * 6)
-        assert payoff_ev(dist, scaled) == 6 * payoff_ev(dist, base)
-        other = PayoffSpec(Fraction(1, 2), Fraction(9))
-        combined = PayoffSpec(base.band + other.band, base.bump + other.bump)
-        assert payoff_ev(dist, combined) == payoff_ev(dist, base) + payoff_ev(dist, other)
+        band, bump = Fraction(7, 3), Fraction(-11, 5)
+        assert payoff_ev(dist, band * 6, bump * 6) == 6 * payoff_ev(dist, band, bump)
+        other_band, other_bump = Fraction(1, 2), Fraction(9)
+        combined = payoff_ev(dist, band + other_band, bump + other_bump)
+        assert combined == payoff_ev(dist, band, bump) + payoff_ev(dist, other_band, other_bump)
 
     def test_marginal_recovery(self):
         # indicator payoffs read the marginals straight off
         dist = joint_distribution(SUIT_GAME)
-        assert payoff_ev(dist, PayoffSpec(Fraction(1), Fraction(0))) == dist.band_marginal
+        assert payoff_ev(dist, Fraction(1), Fraction(0)) == dist.band_marginal
 
 
 class TestLogConcavity:

@@ -15,7 +15,6 @@ SUPPORTED = [
     "JointDistribution",
     "MomentsReport",
     "OutcomeMoments",
-    "PayoffSpec",
     "ScanReport",
     "bump_logconcavity_scan",
     "compare",
@@ -109,11 +108,11 @@ def test_only_the_law_types_are_dataclasses():
     records = {t.__name__ for t in types if issubclass(t, tuple)}
     assert records == {
         "ComparisonReport", "EmpiricalDistribution", "Finding",
-        "MomentsReport", "OutcomeMoments", "PayoffSpec", "ScanReport",
+        "MomentsReport", "OutcomeMoments", "ScanReport",
     }
     # A record compares equal to the plain tuple of its values and unpacks.
-    band, bump = analysis.PayoffSpec.parse("1", "-2")
-    assert analysis.PayoffSpec(band, bump) == (1, -2)
+    marginal, mean, variance = analysis.OutcomeMoments(1, None, None)
+    assert analysis.OutcomeMoments(marginal, mean, variance) == (1, None, None)
     # log_concavity returns its violations; ok was their emptiness.
     assert not hasattr(analysis, "LogConcavityResult")
     # compare's own arguments are not echoed back, and passed was a verdict:
@@ -121,7 +120,11 @@ def test_only_the_law_types_are_dataclasses():
     # The scores come in the law's own layout, a band and a bump column.
     assert oracle.ComparisonReport._fields == ("band_z", "bump_z", "scored", "max_abs_z", "impossible")
     # Monte Carlo tallies are per-draw integer columns, as the exact law is.
-    assert oracle.EmpiricalDistribution._fields == ("params", "trials", "band", "bump")
+    # A record holds what was computed: the trial count is read off the columns.
+    assert oracle.EmpiricalDistribution._fields == ("params", "band", "bump")
+    assert isinstance(oracle.EmpiricalDistribution.trials, property)
+    tallies = oracle.EmpiricalDistribution(distribution.GameParams(2, 2, 1, 1), [0, 0, 20], [0, 3, 7])
+    assert tallies.trials == 30
     assert "Counter" not in vars(oracle)
     # A scan's report holds what it counted; kind and ranges are the caller's
     # own arguments, and ok was the emptiness of findings.
@@ -184,6 +187,16 @@ def test_each_decision_lives_in_one_module():
     # the package catches it.
     for path in Path(bandorbump.__file__).parent.glob("*.py"):
         assert not re.search(r"except\b[^:]*ConsistencyError", path.read_text()), path.name
+
+
+def test_stakes_are_read_where_they_are_typed():
+    # payoff_ev takes two exact stakes; the CLI parses their text and bounds
+    # their exponents, as it bounds every other output cost.
+    for module in (bandorbump, analysis, cli, distribution, exactnum, hypergeom, oracle):
+        assert "PayoffSpec" not in vars(module), module.__name__
+    assert "re" not in vars(analysis)
+    assert list(inspect.signature(analysis.payoff_ev).parameters) == ["dist", "band", "bump"]
+    assert cli._MAX_STAKE_EXPONENT == 10_000
 
 
 def test_exact_and_simulated_laws_share_one_layout():

@@ -303,7 +303,7 @@ class TestVerify:
     def verify_against(monkeypatch, band: list[int], bump: list[int]) -> Result:
         # (2, 2, 1, 1) stops at draw 2: band with 2/3, bump with 1/3.
         params = GameParams(2, 2, 1, 1)
-        empirical = EmpiricalDistribution(params, 300, band, bump)
+        empirical = EmpiricalDistribution(params, band, bump)
         monkeypatch.setattr(cli, "simulate", lambda params, trials, seed: empirical)
         return CliRunner().invoke(
             cli.main, ["verify", "-m", "2", "-s", "2", "-l", "1", "-u", "1", "--mc-trials", "300"]

@@ -136,19 +136,19 @@ class TestExhaustive:
                         cells += 1
         assert cells == 1312
 
-    def test_agrees_with_formula_engine_on_every_deck_to_forty_cards(self):
-        # every window corner 0 <= l <= u <= s on every deck of t <= 40
-        # cards; the bound 40 is set by the sweep's cost (about 2.5 s)
+    def test_agrees_with_formula_engine_on_every_deck_to_fifty_two_cards(self):
+        # every window corner 0 <= l <= u <= s on every deck of t <= 52
+        # cards, a full pack; the bound 52 is set by the sweep's cost (about 7.5 s)
         decks = 0
-        for m in range(1, 41):
-            for s in range(1, 40 // m + 1):
+        for m in range(1, 53):
+            for s in range(1, 52 // m + 1):
                 for u in range(s + 1):
                     for l in range(u + 1):
                         params = GameParams(m, s, l, u)
                         reference = exhaustive_distribution(params, cap=params.t)
                         assert joint_distribution(params) == reference, params
                         decks += 1
-        assert decks == 15559
+        assert decks == 32683
 
     def test_agrees_with_the_walk_over_every_ordered_deal(self):
         # every window corner 0 <= l <= u <= s on every deck of t <= 8 cards;
@@ -427,12 +427,20 @@ class TestCompare:
         with pytest.raises(ValueError):
             compare(exact, emp)
 
+    def test_params_mismatch_rejected_on_columns_of_the_right_length(self):
+        # (2, 3, 1, 1) stops by draw 2 as (2, 2, 1, 1) does, so only the
+        # params check refuses its tallies
+        exact = joint_distribution(GameParams(2, 2, 1, 1))
+        emp = simulate(GameParams(2, 3, 1, 1), 10, seed=0)
+        with pytest.raises(ValueError, match="^distributions describe different parameters$"):
+            compare(exact, emp)
+
     def test_expected_counts_give_zero_z(self):
         # (2, 2, 1, 1) stops only at draw 2: a band with probability 2/3, a
         # bump with 1/3; the four other cells are forbidden and unhit.
         params = GameParams(2, 2, 1, 1)
         exact = joint_distribution(params)
-        emp = EmpiricalDistribution(params, 300, [0, 0, 200], [0, 0, 100])
+        emp = EmpiricalDistribution(params, [0, 0, 200], [0, 0, 100])
         report = compare(exact, emp)
         assert report == ((None, None, 0.0), (None, None, 0.0), 2, 0.0, 0)
 
@@ -441,7 +449,7 @@ class TestCompare:
         # infinite, it is scored, and the unhit forbidden cells have no z.
         params = GameParams(2, 2, 1, 1)
         exact = joint_distribution(params)
-        emp = EmpiricalDistribution(params, 100, [0, 0, 0], [0, 100, 0])
+        emp = EmpiricalDistribution(params, [0, 0, 0], [0, 100, 0])
         report = compare(exact, emp)
         assert report.impossible == 1
         assert report.bump_z[1] == math.inf
@@ -480,7 +488,7 @@ class TestCompare:
         assert floor / params.denominator == 1e-5
         band, bump = [0] * 30, [0] * 30
         bump[9], band[29] = floor, params.denominator - floor
-        emp = EmpiricalDistribution(params, 100_000, [0] * 29 + [99_999], [0] * 9 + [1] + [0] * 20)
+        emp = EmpiricalDistribution(params, [0] * 29 + [99_999], [0] * 9 + [1] + [0] * 20)
         report = compare(JointDistribution(params, band, bump), emp)
         assert (report.scored, report.bump_z[9]) == (2, 0.0)
 
@@ -490,13 +498,13 @@ class TestCompare:
         # five deals bump at that card, which the law forbids.
         params = GameParams(2, 3, 0, 2)
         exact = joint_distribution(params)
-        emp = EmpiricalDistribution(params, 10, [0, 5], [0, 5])
+        emp = EmpiricalDistribution(params, [0, 5], [0, 5])
         report = compare(exact, emp)
         assert report == ((None, -math.inf), (None, math.inf), 2, math.inf, 1)
 
     def test_certain_cell_on_its_frequency_passes(self):
         params = GameParams(2, 3, 0, 2)
-        emp = EmpiricalDistribution(params, 10, [0, 10], [0, 0])
+        emp = EmpiricalDistribution(params, [0, 10], [0, 0])
         report = compare(joint_distribution(params), emp)
         assert report == ((None, 0.0), (None, None), 1, 0.0, 0)
 
@@ -504,16 +512,37 @@ class TestCompare:
         # One deal is the smallest run: its band at draw 2 lies 1/3 above the
         # band's 2/3 and the unhit bump 1/3 below, each sqrt(2/9) of spread.
         params = GameParams(2, 2, 1, 1)
-        emp = EmpiricalDistribution(params, 1, [0, 0, 1], [0, 0, 0])
+        emp = EmpiricalDistribution(params, [0, 0, 1], [0, 0, 0])
         report = compare(joint_distribution(params), emp)
         assert (report.scored, report.impossible) == (2, 0)
         assert report.band_z[2] == pytest.approx(math.sqrt(0.5)) == -report.bump_z[2]
 
-    @pytest.mark.parametrize("trials", [0, -5])
-    def test_non_positive_trials_rejected(self, trials):
+    @pytest.mark.parametrize(
+        "trials, refusal",
+        [(0, "^trials must be >= 1, got 0$"), (-5, "^negative count at draw 2: band 0, bump -5$")],
+        ids=["0", "-5"],
+    )
+    def test_non_positive_trials_rejected(self, trials, refusal):
+        # the trial count is the columns' total: all-zero columns hold no
+        # deal, and a negative total needs a negative count
         params = GameParams(2, 2, 1, 1)
-        emp = EmpiricalDistribution(params, trials, [0, 0, 0], [0, 0, 0])
-        with pytest.raises(ValueError, match=f"^trials must be >= 1, got {trials}$"):
+        emp = EmpiricalDistribution(params, [0, 0, 0], [0, 0, trials])
+        assert emp.trials == trials
+        with pytest.raises(ValueError, match=refusal):
+            compare(joint_distribution(params), emp)
+
+    @pytest.mark.parametrize(
+        "band, bump, draw",
+        [([0, 0, 120], [0, -20, 0], 1), ([0, 0, 120], [0, 0, -20], 2), ([0, -20, 120], [0, 0, 0], 1)],
+        ids=["forbidden-bump", "bump-cancels-band", "forbidden-band"],
+    )
+    def test_negative_count_rejected(self, band, bump, draw):
+        # 100 deals in total on columns of the right length: only the sign is wrong,
+        # and a -20 would otherwise cancel 20 hits or score as an impossible hit
+        params = GameParams(2, 2, 1, 1)
+        emp = EmpiricalDistribution(params, band, bump)
+        assert emp.trials == 100
+        with pytest.raises(ValueError, match=f"^negative count at draw {draw}: "):
             compare(joint_distribution(params), emp)
 
     @pytest.mark.parametrize(
@@ -525,7 +554,7 @@ class TestCompare:
         # (2, 2, 1, 1) has draws 0..2; a column of another length would drop
         # or invent cells unseen
         params = GameParams(2, 2, 1, 1)
-        emp = EmpiricalDistribution(params, 300, band, bump)
+        emp = EmpiricalDistribution(params, band, bump)
         with pytest.raises(ValueError, match=r"^band and bump columns must hold n_max \+ 1 = 3 counts$"):
             compare(joint_distribution(params), emp)
 
