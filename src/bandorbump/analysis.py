@@ -83,7 +83,7 @@ def moments(dist: JointDistribution) -> MomentsReport:
 
 def payoff_ev(dist: JointDistribution, band: Fraction, bump: Fraction) -> Fraction:
     """Exact expected payoff of one deal under per-outcome stakes; positive favours the player."""
-    return band * dist.band_marginal + bump * dist.bump_marginal
+    return Fraction(band * sum(dist.band) + bump * sum(dist.bump), dist.denominator)
 
 
 # ==================== log-concavity ====================

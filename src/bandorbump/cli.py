@@ -302,10 +302,9 @@ def cmd_verify(m: int, s: int, l: int, u: int, mc_trials: int | None, seed: int,
         else:
             failed = True
             _write("exhaustive: MISMATCH")
-            for n in range(params.n_max + 1):
-                fb, ob = dist.band_mass(n), reference.band_mass(n)
-                fp, op = dist.bump_mass(n), reference.bump_mass(n)
-                if fb != ob or fp != op:
+            for n, cells in enumerate(zip(dist.band, dist.bump, reference.band, reference.bump)):
+                if cells[:2] != cells[2:]:
+                    fb, fp, ob, op = (Fraction(cell, dist.denominator) for cell in cells)
                     _write(f"  n={n}: formula ({fb}, {fp}) vs exhaustive ({ob}, {op})")
     else:
         _write(f"exhaustive: skipped (t={params.t} exceeds cap {oracle_cap})")
@@ -384,7 +383,9 @@ def cmd_scan(kind: str, m_max: int, s_max: int, out: str | None) -> None:
 def _stake(text: str) -> Fraction:
     """A decimal stake ("-3", "0.25") read exactly, with no binary rounding."""
     exponent = _EXPONENT.search(text.replace("_", ""))
-    if exponent and (len(exponent[1]) > 4300 or int(exponent[1]) > _MAX_STAKE_EXPONENT):
+    if exponent and len(exponent[1]) > 4300:  # int() refuses it, even when leading zeros keep it small
+        raise ValueError(f"payoff stake {text!r} has an exponent of more than 4300 digits")
+    if exponent and int(exponent[1]) > _MAX_STAKE_EXPONENT:
         raise ValueError(f"payoff stake {text!r} has an exponent beyond {_MAX_STAKE_EXPONENT}")
     try:
         return Fraction(text)

@@ -178,27 +178,13 @@ class JointDistribution:
 
     @property
     def rows(self) -> tuple[tuple[int, Fraction, Fraction], ...]:
-        """(n, band mass, bump mass) as Fractions from first_n to n_max, built anew on every read."""
+        """(n, band mass, bump mass) as Fractions from first_n to n_max, built anew on every read.
+
+        The package reads the columns; the benchmark's span recorder reads this view."""
         d = self.denominator
         return tuple(
             (n, Fraction(self.band[n], d), Fraction(self.bump[n], d)) for n in range(self.first_n, len(self.band))
         )
-
-    def band_mass(self, n: int) -> Fraction:
-        """P[N = n, band]; 0 at any n outside 0..n_max, where a bare read at -1 would wrap."""
-        return Fraction(self.band[n] if 0 <= n < len(self.band) else 0, self.denominator)
-
-    def bump_mass(self, n: int) -> Fraction:
-        """P[N = n, bump]; 0 at any n outside 0..n_max."""
-        return Fraction(self.bump[n] if 0 <= n < len(self.bump) else 0, self.denominator)
-
-    @property
-    def band_marginal(self) -> Fraction:
-        return Fraction(sum(self.band), self.denominator)
-
-    @property
-    def bump_marginal(self) -> Fraction:
-        return Fraction(sum(self.bump), self.denominator)
 
 
 # ==================== assembly ====================

@@ -109,7 +109,7 @@ def test_criterion_01_published_table_reproduction():
 
 def test_criterion_02_thirteen_rank_headline():
     dist = joint_distribution(RANK_GAME)
-    band = to_decimal(dist.band_marginal, 6)
+    band = to_decimal(moments(dist).band.marginal, 6)
     ev = payoff_ev(dist, Fraction(-3), Fraction(2))
     ok = band == "0.390753" and Fraction(4, 100) < ev < Fraction(5, 100)
     report(2, "thirteen-rank game headline numbers", ok, f"P[band]={band}, ev={float(ev):.6f}")
@@ -149,7 +149,7 @@ def test_criterion_05_total_mass_grid():
                     params = GameParams(m, s, l, u)
                     checked += 1
                     dist = joint_distribution(params)
-                    if dist.band_marginal + dist.bump_marginal != 1:
+                    if sum(dist.band) + sum(dist.bump) != dist.denominator:
                         bad.append(params)
     report(5, "total mass is exactly one across the grid", not bad, f"{checked} parameter sets")
 
@@ -237,7 +237,7 @@ def test_criterion_09_internal_identities():
     # the general engine, for every draw of the thirteen-rank game
     dist = joint_distribution(RANK_GAME)
     special_ok = all(
-        quota_one_bump(RANK_GAME, n) == dist.bump_mass(n)
+        quota_one_bump(RANK_GAME, n) * dist.denominator == dist.bump[n]
         for n in range(RANK_GAME.u + 1, RANK_GAME.n_max + 1)
     )
 

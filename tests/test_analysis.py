@@ -95,17 +95,29 @@ class TestPayoff:
         assert cli._stake(text) == Fraction(text)
 
     @pytest.mark.parametrize(
-        "text",
-        ["1e-10001", "1E+10_001", "3e1000000", "1e-٠٠٣٠٠٠٠", "1e-" + "9" * 4301, "1e-" + "9" * 5000],
-        ids=["1e-10001", "1E+10_001", "3e1000000", "Arabic-Indic 30000", "4301-digit exponent", "5000-digit exponent"],
+        ("text", "reason"),
+        [
+            ("1e-10001", "beyond 10000"),
+            ("1E+10_001", "beyond 10000"),
+            ("3e1000000", "beyond 10000"),
+            ("1e-٠٠٣٠٠٠٠", "beyond 10000"),
+            ("1e-" + "9" * 4301, "of more than 4300 digits"),
+            ("1e-" + "9" * 5000, "of more than 4300 digits"),
+            # worth 10**-3, but int() cannot read its 4 301 digits
+            ("1e-" + "0" * 4300 + "3", "of more than 4300 digits"),
+        ],
+        ids=[
+            "1e-10001", "1E+10_001", "3e1000000", "Arabic-Indic 30000",
+            "4301-digit exponent", "5000-digit exponent", "4301 digits worth 3",
+        ],
     )
-    def test_parse_refuses_exponents_past_the_bound(self, monkeypatch, text):
-        # the refusal comes before any Fraction is built
+    def test_parse_refuses_exponents_past_the_bound(self, monkeypatch, text, reason):
+        # the refusal comes before any Fraction is built, and its message is true of the text
         def unreachable(text):
             raise AssertionError(f"built Fraction({text[:20]!r})")
 
         monkeypatch.setattr(cli, "Fraction", unreachable)
-        with pytest.raises(ValueError, match="has an exponent beyond 10000$"):
+        with pytest.raises(ValueError, match=f"has an exponent {reason}$"):
             cli._stake(text)
 
     def test_rank_game_headline_value(self):
@@ -135,7 +147,7 @@ class TestPayoff:
     def test_marginal_recovery(self):
         # indicator payoffs read the marginals straight off
         dist = joint_distribution(SUIT_GAME)
-        assert payoff_ev(dist, Fraction(1), Fraction(0)) == dist.band_marginal
+        assert payoff_ev(dist, Fraction(1), Fraction(0)) == moments(dist).band.marginal
 
 
 class TestLogConcavity:
@@ -199,12 +211,12 @@ class TestLogConcavity:
 
     def test_band_sequence_of_suit_game(self):
         dist = joint_distribution(SUIT_GAME)
-        seq = [dist.band_mass(n) for n in range(20, 30)]
+        seq = [Fraction(p, dist.denominator) for p in dist.band[20:30]]
         assert log_concavity(seq) == ()
 
     def test_bump_sequence_of_suit_game(self):
         dist = joint_distribution(SUIT_GAME)
-        seq = [dist.bump_mass(n) for n in range(9, 30)]
+        seq = [Fraction(p, dist.denominator) for p in dist.bump[9:30]]
         assert log_concavity(seq) == ()
 
 

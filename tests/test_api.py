@@ -220,3 +220,14 @@ def test_exact_and_simulated_laws_share_one_layout():
     ):
         exact, simulated = distribution.joint_distribution(p), oracle.simulate(p, 50)
         assert len(exact.band) == len(exact.bump) == len(simulated.band) == p.n_max + 1, p
+
+
+def test_a_law_gives_out_its_integer_columns():
+    # Callers read the band and bump columns over the denominator: verify's
+    # mismatch lines and payoff_ev build their Fractions from them, and
+    # moments gives the marginals.  rows is the one Fraction view left.
+    law = distribution.joint_distribution(distribution.GameParams(2, 3, 1, 2))
+    for gone in ("band_mass", "bump_mass", "band_marginal", "bump_marginal"):
+        assert not hasattr(distribution.JointDistribution, gone), gone
+    public = {name for name in dir(law) if not name.startswith("_")}
+    assert public == {"params", "band", "bump", "denominator", "first_n", "rows"}

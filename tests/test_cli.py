@@ -147,14 +147,15 @@ class TestDistJson:
         doc = json.loads(proc.stdout)
         dist = joint_distribution(GameParams(4, 13, 5, 8))
         report = moments(dist)
+        band_marginal, bump_marginal = (Fraction(sum(column), dist.denominator) for column in (dist.band, dist.bump))
         expected = {}
         for n, band, bump in dist.rows:
             expected[n] = {
                 "band": band,
                 "bump": bump,
                 "total": band + bump,
-                "band_conditional": band / dist.band_marginal,
-                "bump_conditional": bump / dist.bump_marginal,
+                "band_conditional": band / band_marginal,
+                "bump_conditional": bump / bump_marginal,
             }
         cells = [
             (row[key]["exact"], value)
@@ -162,8 +163,8 @@ class TestDistJson:
             for key, value in expected[row["n"]].items()
         ]
         cells += [
-            (doc["band_marginal"]["exact"], dist.band_marginal),
-            (doc["bump_marginal"]["exact"], dist.bump_marginal),
+            (doc["band_marginal"]["exact"], band_marginal),
+            (doc["bump_marginal"]["exact"], bump_marginal),
             (doc["mean_duration"]["overall"]["exact"], report.mean),
             (doc["mean_duration"]["variance"], report.variance),
             (doc["mean_duration"]["band"]["mean"]["exact"], report.band.mean),
@@ -385,6 +386,23 @@ class TestVerify:
             "exhaustive: MISMATCH",
             "  n=5: formula (96/455, 4/455) vs exhaustive (96/455, 3/385)",
             "  n=8: formula (16/165, 68/2145) vs exhaustive (16/165, 491/15015)",
+        ]
+
+    def test_mismatch_on_the_band_column(self, monkeypatch):
+        # 1/1001 of band mass moved from draw 4, the first with mass, to
+        # draw 10, the last: 64/455 - 1/1001 = 699/5005 and
+        # 64/5005 + 1/1001 = 69/5005, while every bump cell stays equal.
+        params = GameParams(4, 4, 1, 3)
+        law = joint_distribution(params)
+        moved = tuple(band + {4: -720, 10: 720}.get(n, 0) for n, band in enumerate(law.band))
+        reference = JointDistribution(params, moved, law.bump)
+        monkeypatch.setattr(cli, "exhaustive_distribution", lambda params, cap: reference)
+        result = CliRunner().invoke(cli.main, ["verify", "-m", "4", "-s", "4", "-l", "1", "-u", "3"])
+        assert result.exit_code == 1
+        assert result.stdout.splitlines() == [
+            "exhaustive: MISMATCH",
+            "  n=4: formula (64/455, 1/455) vs exhaustive (699/5005, 1/455)",
+            "  n=10: formula (64/5005, 48/5005) vs exhaustive (69/5005, 48/5005)",
         ]
 
     def test_oracle_cap_raise(self):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from bandorbump import distribution
-from bandorbump.analysis import bump_k_range, bump_kpp_range
+from bandorbump.analysis import bump_k_range, bump_kpp_range, moments
 from bandorbump.distribution import (
     ConsistencyError,
     GameParams,
@@ -140,20 +140,18 @@ class TestJointDistributionContainer:
             JointDistribution(TINY, band, bump)
 
     def test_mass_lookup_zero_fills(self):
-        # Outside 0..n_max a mass is 0, never a wrapped read of draw n_max.
+        # The columns hold draws 0..n_max, draw 0 with no mass.
         dist = joint_distribution(TINY)
         assert (dist.band, dist.bump) == ((0, 0, 36, 18), (0, 0, 0, 6))
-        assert dist.band_mass(0) == 0
-        assert dist.band_mass(-1) == dist.bump_mass(-1) == 0
-        assert dist.band_mass(TINY.n_max + 1) == dist.bump_mass(TINY.n_max + 1) == 0
-        assert dist.bump_mass(99) == 0
+        assert dist.band[0] == 0
 
     @pytest.mark.parametrize("params", [RANK_GAME, SUIT_GAME])
     def test_rows_view_equals_the_masses(self, params):
         dist = joint_distribution(params)
         assert not any(dist.band[: dist.first_n] + dist.bump[: dist.first_n])
+        d = dist.denominator
         assert dist.rows == tuple(
-            (n, dist.band_mass(n), dist.bump_mass(n)) for n in range(dist.first_n, params.n_max + 1)
+            (n, Fraction(dist.band[n], d), Fraction(dist.bump[n], d)) for n in range(dist.first_n, params.n_max + 1)
         )
         assert all(isinstance(x, Fraction) for _, *cells in dist.rows for x in cells)
         with pytest.raises(AttributeError):
@@ -175,13 +173,13 @@ class TestJointDistributionContainer:
 class TestBandGeneral:
     def test_tiny_game_band_values(self):
         dist = joint_distribution(TINY)
-        assert dist.band_mass(2) == Fraction(3, 5)
-        assert dist.band_mass(3) == Fraction(3, 10)
-        assert dist.band_mass(1) == 0
-        assert dist.band_mass(4) == 0
+        assert dist.band[2] == Fraction(3, 5) * dist.denominator
+        assert dist.band[3] == Fraction(3, 10) * dist.denominator
+        assert dist.band[1] == 0
+        assert len(dist.band) == 4  # no draw 4
 
     def test_tiny_game_band_marginal(self):
-        assert joint_distribution(TINY).band_marginal == Fraction(9, 10)
+        assert moments(joint_distribution(TINY)).band.marginal == Fraction(9, 10)
 
     def test_band_factorization(self):
         # The paper's band form: the pinned-last-card chance times the
@@ -196,9 +194,9 @@ class TestBandGeneral:
             marginal = Fraction(0)
             for n in range(p.l, p.n_max + 1):
                 band = point_prob(n, p.s, p.t, p.l) * rect_prob(HypergeomSpec(p.m - 1, n - p.l, p.s), others)
-                assert dist.band_mass(n) == band, (p, n)
+                assert dist.band[n] == band * p.denominator, (p, n)
                 marginal += band
-            assert dist.band_marginal == marginal, p
+            assert Fraction(sum(dist.band), p.denominator) == marginal, p
 
     def test_lead_factor_identity(self):
         # the pinned-last-card chance rearranges into the product of a
@@ -260,10 +258,10 @@ class TestBumpIndexRanges:
 class TestBumpGeneral:
     def test_tiny_game_bump_values(self):
         dist = joint_distribution(TINY)
-        assert dist.bump_mass(3) == Fraction(1, 10)
-        assert dist.bump_mass(2) == 0
-        assert dist.bump_mass(4) == 0
-        assert dist.bump_marginal == Fraction(1, 10)
+        assert dist.bump[3] == Fraction(1, 10) * dist.denominator
+        assert dist.bump[2] == 0
+        assert len(dist.bump) == 4  # no draw 4
+        assert moments(dist).bump.marginal == Fraction(1, 10)
 
     def test_summand_weight_consistency_check_runs(self):
         # one concrete term, recomputed here from scratch
@@ -297,22 +295,23 @@ class TestPublishedAnchors:
     """Frozen decimal anchors for the two featured parameter choices."""
 
     def test_suit_game_marginals(self):
-        dist = joint_distribution(SUIT_GAME)
-        assert to_decimal(dist.band_marginal, 6) == "0.605984"
-        assert to_decimal(dist.bump_marginal, 6) == "0.394016"
+        report = moments(joint_distribution(SUIT_GAME))
+        assert to_decimal(report.band.marginal, 6) == "0.605984"
+        assert to_decimal(report.bump.marginal, 6) == "0.394016"
 
     def test_rank_game_band_marginal(self):
         dist = joint_distribution(RANK_GAME)
-        assert to_decimal(dist.band_marginal, 6) == "0.390753"
+        assert to_decimal((sum(dist.band), dist.denominator), 6) == "0.390753"
 
     def test_suit_game_spot_rows(self):
         dist = joint_distribution(SUIT_GAME)
-        assert to_decimal(dist.bump_mass(9), 6) == "0.000000777369"
-        assert to_decimal(dist.band_mass(20), 6) == "0.0217752"
-        assert to_decimal(dist.bump_mass(24), 6) == "0.0564823"
-        assert to_decimal(dist.band_mass(29), 6) == "0.00536205"
-        assert to_decimal(dist.bump_mass(29), 6) == "0.00893675"
-        assert dist.band_mass(19) == 0
+        d = dist.denominator
+        assert to_decimal((dist.bump[9], d), 6) == "0.000000777369"
+        assert to_decimal((dist.band[20], d), 6) == "0.0217752"
+        assert to_decimal((dist.bump[24], d), 6) == "0.0564823"
+        assert to_decimal((dist.band[29], d), 6) == "0.00536205"
+        assert to_decimal((dist.bump[29], d), 6) == "0.00893675"
+        assert dist.band[19] == 0
 
     def test_suit_game_support(self):
         dist = joint_distribution(SUIT_GAME)
@@ -382,14 +381,14 @@ class TestJointDispatch:
         dist = joint_distribution(GameParams(3, 2, 1, 2))
         assert dist.first_n == 3
         assert len(dist.band) == 6 and dist.band[5]
-        assert dist.bump_marginal == 0
+        assert sum(dist.bump) == 0
 
     def test_equal_quota_span(self):
         dist = joint_distribution(GameParams(2, 3, 2, 2))
         assert dist.first_n == 3
         assert len(dist.band) == 5
-        assert dist.band_mass(4) > 0
-        assert dist.bump_mass(3) > 0
+        assert dist.band[4] > 0
+        assert dist.bump[3] > 0
 
     def test_general_span_shows_both_columns(self):
         dist = joint_distribution(SUIT_GAME)
@@ -399,8 +398,8 @@ class TestJointDispatch:
     def test_single_rank_deck(self):
         # m = 1: the lone tally walks straight up; first hit decides
         dist = joint_distribution(GameParams(1, 5, 2, 3))
-        assert dist.band_mass(2) == 1
-        assert dist.bump_marginal == 0
+        assert dist.band[2] == dist.denominator
+        assert sum(dist.bump) == 0
 
 
 def _general_cells(m_max: int, s_max: int):
@@ -439,8 +438,8 @@ def _assert_rows_match_rectangle_forms(p: GameParams) -> None:
     dist = joint_distribution(p)
     assert dist.first_n == min(p.m * p.l, p.u + 1)
     for n in range(p.n_max + 1):
-        assert dist.band_mass(n) == _band_by_rectangle(p, n), (p, n)
-        assert dist.bump_mass(n) == _bump_by_summands(p, n), (p, n)
+        assert dist.band[n] == _band_by_rectangle(p, n) * p.denominator, (p, n)
+        assert dist.bump[n] == _bump_by_summands(p, n) * p.denominator, (p, n)
 
 
 class TestGeneratingFunctionRows:
@@ -662,5 +661,5 @@ class TestAgainstExhaustiveOracle:
         # internal invariants; the exact DP proof of this deck is in
         # TestGeneratingFunctionRows
         dist = joint_distribution(SUIT_GAME)
-        assert dist.band_marginal + dist.bump_marginal == 1
+        assert sum(dist.band) + sum(dist.bump) == dist.denominator
         assert all(band >= 0 and bump >= 0 for _, band, bump in dist.rows)
