@@ -4,8 +4,8 @@ Two routes, sharing no algebra with the formula engine:
 
 * ``exhaustive_distribution`` runs exact forward dynamic programming over
   tally configurations, applying the stopping rules directly from their
-  definitions.  A draw holds at most C(m + u, m) tally histograms, so it
-  refuses decks larger than a configurable cap.
+  definitions.  It costs at most C(m + u, m) tally histograms per draw,
+  over n_max draws; ``verify`` decides which decks run it.
 * ``simulate`` plays seeded deals and tallies them per stopping draw, in a
   band and a bump column; ``compare`` scores them against an exact law.
   Trial i is dealt as ``random.Random(_trial_seed(seed, i)).shuffle`` would
@@ -49,8 +49,8 @@ from typing import NamedTuple
 from .distribution import ConsistencyError, GameParams, JointDistribution
 
 
-def exhaustive_distribution(params: GameParams, cap: int = 16) -> JointDistribution:
-    """Exact stopping law by full dynamic programming; refuses t > cap.
+def exhaustive_distribution(params: GameParams) -> JointDistribution:
+    """Exact stopping law by dynamic programming: n_max draws of at most C(m + u, m) histograms.
 
     Transition: from a tally histogram h with n - 1 cards dealt, one of the
     h[v] * (s - v) cards left in ranks at tally v is drawn next, out of
@@ -59,12 +59,9 @@ def exhaustive_distribution(params: GameParams, cap: int = 16) -> JointDistribut
     never counts as a band even when l = 0.  A transition builds no tuple: the
     child's key is the parent's plus the lane's step m (m + 1)**v, unique as
     every digit is at most m, and its record [count, h, short] is built only
-    when no earlier transition reached that key.
+    when no earlier transition reached that key.  ``verify`` decides which decks run it.
     """
-    t = params.t
-    if t > cap:
-        raise ValueError(f"deck size t={t} exceeds the exhaustive cap {cap}")
-    m, s, l, u = params.m, params.s, params.l, params.u
+    t, m, s, l, u = params.t, params.m, params.s, params.l, params.u
     horizon = params.n_max
     # Draws below tally u: (v, cards left in such a rank, whether the rank
     # reaches l, the key step m (m + 1)**v of moving a rank from v to v + 1).

@@ -149,6 +149,12 @@ def test_no_knob_or_guard_that_says_nothing():
     assert {p.name for p in cli.cmd_verify.params} == {"m", "s", "l", "u", "mc_trials", "seed", "oracle_cap"}
 
 
+def test_verify_alone_sizes_the_dp():
+    # verify --oracle-cap is the DP's one size rule: the oracle solves the
+    # deck it is given, as joint_distribution and simulate do.
+    assert list(inspect.signature(oracle.exhaustive_distribution).parameters) == ["params"]
+
+
 def test_one_guard_for_every_write():
     # A failed write is caught where it is written, never around a whole
     # command, so no other OSError reads as one.

@@ -291,7 +291,7 @@ class TestVerify:
         # and surfaces as itself
         error = OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
 
-        def fail(params, cap):
+        def fail(params):
             raise error
 
         monkeypatch.setattr(cli, "exhaustive_distribution", fail)
@@ -379,7 +379,7 @@ class TestVerify:
         moved = tuple(bump + {5: -720, 8: 720}.get(n, 0) for n, bump in enumerate(law.bump))
         assert law.denominator == 720720
         reference = JointDistribution(params, law.band, moved)
-        monkeypatch.setattr(cli, "exhaustive_distribution", lambda params, cap: reference)
+        monkeypatch.setattr(cli, "exhaustive_distribution", lambda params: reference)
         result = CliRunner().invoke(cli.main, ["verify", "-m", "4", "-s", "4", "-l", "1", "-u", "3"])
         assert result.exit_code == 1
         assert result.stdout.splitlines() == [
@@ -396,7 +396,7 @@ class TestVerify:
         law = joint_distribution(params)
         moved = tuple(band + {4: -720, 10: 720}.get(n, 0) for n, band in enumerate(law.band))
         reference = JointDistribution(params, moved, law.bump)
-        monkeypatch.setattr(cli, "exhaustive_distribution", lambda params, cap: reference)
+        monkeypatch.setattr(cli, "exhaustive_distribution", lambda params: reference)
         result = CliRunner().invoke(cli.main, ["verify", "-m", "4", "-s", "4", "-l", "1", "-u", "3"])
         assert result.exit_code == 1
         assert result.stdout.splitlines() == [
@@ -411,6 +411,20 @@ class TestVerify:
         )
         assert proc.returncode == 0
         assert "exact match" in proc.stdout
+
+    def test_oracle_cap_one_below_the_deck_skips_the_dp(self, monkeypatch):
+        # t = 18 at cap 17: the cap is the DP's one size rule, and it is inclusive
+        def unreachable(params):
+            raise AssertionError(f"ran the DP on {params}")
+
+        monkeypatch.setattr(cli, "exhaustive_distribution", unreachable)
+        result = CliRunner().invoke(
+            cli.main,
+            ["verify", "-m", "3", "-s", "6", "-l", "2", "-u", "4", "--oracle-cap", "17", "--mc-trials", "200"],
+        )
+        lines = result.stdout.splitlines()
+        assert lines[0] == "exhaustive: skipped (t=18 exceeds cap 17)", result.output
+        assert lines[1].startswith("monte carlo: max |z| = "), result.output
 
 
 class TestScan:
@@ -574,6 +588,18 @@ class TestPayoff:
         assert result.exit_code == 2
         assert result.stdout == ""
         assert "payoff stake '1e-400000' has an exponent beyond 10000" in result.stderr
+
+    def test_stake_past_the_int_digit_limit_is_refused(self):
+        # 10**4301 lies inside the exponent bound, but int() cannot read its
+        # 4 302 digits; the refusal names the count, not a parse failure
+        stake = "1" + "0" * 4301
+        result = CliRunner().invoke(
+            cli.main, ["payoff", "-m", "2", "-s", "2", "-l", "1", "-u", "1", "--band", stake, "--bump", "0"]
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "has a number of more than 4300 digits" in result.stderr
+        assert "unparseable" not in result.stderr
 
     def test_garbage_payoff_is_usage_error(self):
         proc = run_cli(

@@ -473,12 +473,12 @@ class TestGeneratingFunctionRows:
         "params", [RANK_GAME, SUIT_GAME, GameParams(26, 4, 1, 3), GameParams(8, 13, 5, 8)]
     )
     def test_published_decks_match_dynamic_programming(self, params):
-        reference = exhaustive_distribution(params, cap=params.t)
+        reference = exhaustive_distribution(params)
         assert joint_distribution(params) == reference
 
     def test_fifty_two_rank_deck_matches_dynamic_programming(self):
         p = GameParams(52, 4, 1, 3)
-        assert joint_distribution(p) == exhaustive_distribution(p, cap=208)
+        assert joint_distribution(p) == exhaustive_distribution(p)
 
     def test_fifty_two_rank_deck_solves_cold(self):
         _assert_rows_match_rectangle_forms(GameParams(52, 4, 1, 3))

@@ -102,14 +102,6 @@ class TestExhaustive:
         dist = exhaustive_distribution(GameParams(1, 2, 1, 1))
         assert rows_as_dict(dist) == {1: (Fraction(1), Fraction(0))}
 
-    def test_cap_refusal(self):
-        with pytest.raises(ValueError):
-            exhaustive_distribution(GameParams(4, 13, 5, 8))
-        with pytest.raises(ValueError):
-            exhaustive_distribution(GameParams(3, 3, 1, 2), cap=8)
-        # the refusal threshold is inclusive
-        exhaustive_distribution(GameParams(3, 3, 1, 2), cap=9)
-
     def test_mass_sums_to_one_across_corners(self):
         shapes = [
             (2, 3, 0, 0),
@@ -131,7 +123,7 @@ class TestExhaustive:
                 for u in range(s + 1):
                     for l in range(u + 1):
                         params = GameParams(m, s, l, u)
-                        reference = exhaustive_distribution(params, cap=params.t)
+                        reference = exhaustive_distribution(params)
                         assert joint_distribution(params) == reference, params
                         cells += 1
         assert cells == 1312
@@ -145,7 +137,7 @@ class TestExhaustive:
                 for u in range(s + 1):
                     for l in range(u + 1):
                         params = GameParams(m, s, l, u)
-                        reference = exhaustive_distribution(params, cap=params.t)
+                        reference = exhaustive_distribution(params)
                         assert joint_distribution(params) == reference, params
                         decks += 1
         assert decks == 32683
@@ -160,7 +152,7 @@ class TestExhaustive:
                 for u in range(s + 1):
                     for l in range(u + 1):
                         params = GameParams(m, s, l, u)
-                        dist = exhaustive_distribution(params, cap=params.t)
+                        dist = exhaustive_distribution(params)
                         columns = tuple(
                             [Fraction(mass, dist.denominator) for mass in column] for column in (dist.band, dist.bump)
                         )
@@ -412,6 +404,26 @@ class TestSplitAcrossWorkers:
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "before\nafter\n", "")
+
+    @pytest.mark.parametrize("cpus, forks", [(None, 0), (2, 1), (3, 2)])
+    def test_cpu_count_sizes_the_pool_without_sched_getaffinity(self, monkeypatch, cpus, forks):
+        # where os has no sched_getaffinity (macOS), os.cpu_count() sizes the
+        # pool, and 1 stands in when it is unknown; 4 * _MIN_BLOCK + 3 trials
+        # would feed up to four workers
+        monkeypatch.delattr(oracle.os, "sched_getaffinity")
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: cpus)
+        fork, calls = os.fork, []
+
+        def counted_fork():
+            calls.append(1)
+            return fork()
+
+        monkeypatch.setattr(oracle.os, "fork", counted_fork)
+        params, trials = GameParams(3, 3, 1, 2), 4 * _MIN_BLOCK + 3
+        emp = simulate(params, trials, seed=2)
+        assert len(calls) == forks
+        assert (emp.band, emp.bump) == _deal(params, 2, 0, trials)
+        assert_no_child_left()
 
     def test_no_fork_runs_in_process(self, monkeypatch):
         monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0, 1})
