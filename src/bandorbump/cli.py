@@ -5,10 +5,13 @@ Exit codes: 0 success, 1 verification failure or falsified scan property,
 be written.  `_checked` alone turns a rejected deck or stake into a usage
 error.  Every output, --help pages included, goes through `_write`, the one
 place a failed write becomes exit 2; any other OSError surfaces as itself.
+`dist` hands `_write` its table as it renders it, one row per chunk, and
+every streamed chunk passes the same guard.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -16,6 +19,8 @@ import math
 import os
 import re
 import sys
+import types
+from collections.abc import Iterable
 from decimal import Decimal
 from fractions import Fraction
 
@@ -112,20 +117,25 @@ def _drop_stdout() -> None:
     os.close(devnull)
 
 
-def _write(text: str, out: io.TextIOWrapper | None = None) -> None:
+def _write(text: str | Iterable[str], out: io.TextIOWrapper | None = None) -> None:
     """Write text and a newline to stdout, or to out, which is then closed.
 
-    A failed write exits 2 through `_cannot_write`.  click.echo flushes, so
-    a full stdout fails here, not at exit with code 120; a failed flush of
-    out leaves its bytes for close() to retry, so the close is guarded too.
-    A broken pipe is left to click, which exits 1 silently.
+    text is one string or an iterable of chunks, such as a table's rows,
+    each written as soon as it is rendered, so a streamed table never sits
+    whole in memory.  A failed write of any chunk exits 2 through
+    `_cannot_write`; rendering raises no OSError, so none is mistaken for
+    one.  stdout is flushed once, after the last chunk, so a full stdout
+    fails here, not at exit with code 120; a failed flush of out leaves its
+    bytes for close() to retry, so the close is guarded too.  A broken pipe
+    is left to click, which exits 1 silently.
     """
+    stream = sys.stdout if out is None else out
     try:
-        if out is None:
-            click.echo(text)
-        else:
-            with out:
-                out.write(f"{text}\n")
+        with contextlib.nullcontext() if out is None else out:
+            for chunk in (text,) if isinstance(text, str) else text:
+                stream.write(chunk)
+            stream.write("\n")
+            stream.flush()
     except BrokenPipeError:
         raise
     except OSError as exc:
@@ -197,19 +207,16 @@ def _json_value(x: Fraction | tuple[int, int] | None, digits: int) -> dict | Non
     return {"exact": _rat(x), "decimal": to_decimal(x, digits)}
 
 
-def dist_json(dist: JointDistribution, report: MomentsReport, digits: int) -> dict:
+def _json_table(dist: JointDistribution, report: MomentsReport, digits: int):
+    """The JSON document of `dist --format json`, in chunks of one row each.
+
+    The bytes are those of json.dumps(doc, indent=2) on the whole document:
+    the document without its rows is encoded once and cut where its empty
+    "rows" list stands, and each row, encoded with the same settings, is
+    indented by the two levels it sits at.
+    """
     p = dist.params
-    rows = [
-        {
-            "n": n,
-            "band": _json_value(band, digits),
-            "bump": _json_value(bump, digits),
-            "total": _json_value(total, digits),
-            "band_conditional": _json_value(cond_band, digits),
-            "bump_conditional": _json_value(cond_bump, digits),
-        }
-        for n, band, bump, total, cond_band, cond_bump in _dist_rows(dist)
-    ]
+
     def outcome_block(oc):
         if oc.mean is None:
             return None
@@ -218,10 +225,11 @@ def dist_json(dist: JointDistribution, report: MomentsReport, digits: int) -> di
             "variance": _rat(oc.variance),
             "sd": sqrt_decimal(oc.variance, digits),
         }
-    return {
+
+    frame = {
         "params": {"m": p.m, "s": p.s, "l": p.l, "u": p.u, "t": p.t, "n_max": p.n_max},
         "digits": digits,
-        "rows": rows,
+        "rows": [],
         "band_marginal": _json_value(report.band.marginal, digits),
         "bump_marginal": _json_value(report.bump.marginal, digits),
         "mean_duration": {
@@ -232,6 +240,41 @@ def dist_json(dist: JointDistribution, report: MomentsReport, digits: int) -> di
             "bump": outcome_block(report.bump),
         },
     }
+    head, _, tail = json.dumps(frame, indent=2).partition('"rows": []')
+    yield head + '"rows": ['
+    encode = json.JSONEncoder(indent=2).encode
+    separator = "\n    "
+    for n, band, bump, total, cond_band, cond_bump in _dist_rows(dist):
+        row = {
+            "n": n,
+            "band": _json_value(band, digits),
+            "bump": _json_value(bump, digits),
+            "total": _json_value(total, digits),
+            "band_conditional": _json_value(cond_band, digits),
+            "bump_conditional": _json_value(cond_bump, digits),
+        }
+        yield separator + encode(row).replace("\n", "\n    ")
+        separator = ",\n    "
+    yield "\n  ]" + tail  # never "[]": a law has a row at its first draw with mass
+
+
+def _csv_table(dist: JointDistribution, report: MomentsReport, digits: int):
+    """The CSV table of `dist`, one line per chunk, without the last line's newline."""
+    # writerow returns what its file's write returns, so with str as that
+    # write it hands back the line it rendered.
+    line = csv.writer(types.SimpleNamespace(write=str), lineterminator="\n").writerow
+    band, bump = report.band, report.bump
+    yield line(("n", "P[N=n, band]", "P[N=n, bump]", "P[N=n]", "P[N=n | band]", "P[N=n | bump]"))
+    for n, *row in _dist_rows(dist):
+        yield line((n, *(_cell(x, digits) for x in row)))
+    yield line(("Outcome probabilities", *(_cell(x.marginal, digits) for x in (band, bump)), "", "", ""))
+    yield line(("Mean duration", "", "", *(_cell(x, digits) for x in (report.mean, band.mean, bump.mean))))
+    yield line(
+        (
+            "Standard deviation", "", "",
+            *("" if x.variance is None else sqrt_decimal(x.variance, digits) for x in (report, band, bump)),
+        )
+    ).removesuffix("\n")
 
 
 @main.command("dist")
@@ -245,25 +288,7 @@ def cmd_dist(m: int, s: int, l: int, u: int, digits: int, fmt: str) -> None:
     params = _checked(GameParams, m, s, l, u)
     dist = joint_distribution(params)
     report = moments(dist)
-    if fmt == "json":
-        _write(json.dumps(dist_json(dist, report, digits), indent=2))
-        return
-    band, bump = report.band, report.bump
-    table = io.StringIO()
-    writer = csv.writer(table, lineterminator="\n")
-    writer.writerow(("n", "P[N=n, band]", "P[N=n, bump]", "P[N=n]", "P[N=n | band]", "P[N=n | bump]"))
-    writer.writerows((n, *(_cell(x, digits) for x in row)) for n, *row in _dist_rows(dist))
-    writer.writerows(
-        (
-            ("Outcome probabilities", *(_cell(x.marginal, digits) for x in (band, bump)), "", "", ""),
-            ("Mean duration", "", "", *(_cell(x, digits) for x in (report.mean, band.mean, bump.mean))),
-            (
-                "Standard deviation", "", "",
-                *("" if x.variance is None else sqrt_decimal(x.variance, digits) for x in (report, band, bump)),
-            ),
-        )
-    )
-    _write(table.getvalue().removesuffix("\n"))
+    _write((_json_table if fmt == "json" else _csv_table)(dist, report, digits))
 
 
 # ==================== verify ====================

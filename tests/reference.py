@@ -20,19 +20,26 @@ the tests hold its rows equal to these forms.
 For the DP oracle, ``prefix_walk`` finds the whole law of a small deck by
 following every ordered deal until it stops.
 
-Last comes the paper's band theorem: on every general cell the band mass
+Then comes the paper's band theorem: on every general cell the band mass
 sequence is log-concave.
+
+Last comes the ``dist`` table built whole, as one JSON document and as one
+CSV string, for the streamed output to be held to byte for byte.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from bandorbump.analysis import _general_grid, log_concavity
-from bandorbump.distribution import GameParams, joint_distribution
+from bandorbump.analysis import MomentsReport, _general_grid, log_concavity
+from bandorbump.cli import _cell, _dist_rows, _json_value, _rat
+from bandorbump.distribution import GameParams, JointDistribution, joint_distribution
+from bandorbump.exactnum import sqrt_decimal
 from bandorbump.hypergeom import truncated_product, window_poly
 
 
@@ -349,3 +356,66 @@ def band_logconcavity_violations(
         seq = dist.band[first:]
         violations += [(p, first + i) for i in log_concavity(seq)]
     return cells, violations
+
+
+# ==================== the dist table, built whole ====================
+
+
+def dist_json(dist: JointDistribution, report: MomentsReport, digits: int) -> dict:
+    """The whole document of ``dist --format json``; json.dumps(doc, indent=2) is its stdout."""
+    p = dist.params
+    rows = [
+        {
+            "n": n,
+            "band": _json_value(band, digits),
+            "bump": _json_value(bump, digits),
+            "total": _json_value(total, digits),
+            "band_conditional": _json_value(cond_band, digits),
+            "bump_conditional": _json_value(cond_bump, digits),
+        }
+        for n, band, bump, total, cond_band, cond_bump in _dist_rows(dist)
+    ]
+
+    def outcome_block(oc):
+        if oc.mean is None:
+            return None
+        return {
+            "mean": _json_value(oc.mean, digits),
+            "variance": _rat(oc.variance),
+            "sd": sqrt_decimal(oc.variance, digits),
+        }
+
+    return {
+        "params": {"m": p.m, "s": p.s, "l": p.l, "u": p.u, "t": p.t, "n_max": p.n_max},
+        "digits": digits,
+        "rows": rows,
+        "band_marginal": _json_value(report.band.marginal, digits),
+        "bump_marginal": _json_value(report.bump.marginal, digits),
+        "mean_duration": {
+            "overall": _json_value(report.mean, digits),
+            "variance": _rat(report.variance),
+            "sd": sqrt_decimal(report.variance, digits),
+            "band": outcome_block(report.band),
+            "bump": outcome_block(report.bump),
+        },
+    }
+
+
+def dist_csv(dist: JointDistribution, report: MomentsReport, digits: int) -> str:
+    """The whole stdout of ``dist`` (CSV), built in one string."""
+    band, bump = report.band, report.bump
+    table = io.StringIO()
+    writer = csv.writer(table, lineterminator="\n")
+    writer.writerow(("n", "P[N=n, band]", "P[N=n, bump]", "P[N=n]", "P[N=n | band]", "P[N=n | bump]"))
+    writer.writerows((n, *(_cell(x, digits) for x in row)) for n, *row in _dist_rows(dist))
+    writer.writerows(
+        (
+            ("Outcome probabilities", *(_cell(x.marginal, digits) for x in (band, bump)), "", "", ""),
+            ("Mean duration", "", "", *(_cell(x, digits) for x in (report.mean, band.mean, bump.mean))),
+            (
+                "Standard deviation", "", "",
+                *("" if x.variance is None else sqrt_decimal(x.variance, digits) for x in (report, band, bump)),
+            ),
+        )
+    )
+    return table.getvalue()

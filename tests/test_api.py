@@ -159,6 +159,9 @@ def test_one_guard_for_every_write():
     # A failed write is caught where it is written, never around a whole
     # command, so no other OSError reads as one.
     assert "invoke" not in vars(cli._Command)
+    # dist streams its table through that guard, row by row; no builder of
+    # the whole document is left.
+    assert not hasattr(cli, "dist_json")
     # --out is a plain path; open() reports a directory or a missing parent
     # as it reports any other output that cannot be written.
     out = next(p for p in cli.cmd_scan.params if p.name == "out")

@@ -19,6 +19,7 @@ from bandorbump.analysis import Finding, ScanReport, moments
 from bandorbump.cli import _rat
 from bandorbump.distribution import GameParams, JointDistribution, joint_distribution
 from bandorbump.oracle import EmpiricalDistribution
+from reference import dist_csv, dist_json
 
 TIMEOUT = 120
 
@@ -202,6 +203,109 @@ class TestDistJson:
         assert len(den) == 4533
         assert Fraction(int(Decimal(num)), int(Decimal(den))) == x  # no int(str) limit
         assert get_limit() == limit
+
+
+def _small_decks():
+    """Every deck of at most 12 cards, with every 0 <= l <= u <= s."""
+    for m in range(1, 13):
+        for s in range(1, 12 // m + 1):
+            for u in range(s + 1):
+                for l in range(u + 1):
+                    yield GameParams(m, s, l, u)
+
+
+# (deck, --digits): every deck of t <= 12 at the default digits, and the
+# benchmark's largest JSON op.
+_TABLE_CASES = [(p, 6) for p in _small_decks()] + [(GameParams(4, 100, 40, 60), 20)]
+
+# A streamed JSON table may peak at most this far above the CSV of the same
+# deck, each run as a fresh process.  Fixed from earlier fresh-process peaks
+# of (400,4,1,3) --digits 20: the CSV 22-23 MB, the streamed JSON 22 MB and
+# the JSON built as one document 46-47 MB, a gap of about 24 MB; 5 MB is
+# well above the 1 MB that one peak moves from run to run.
+_STREAM_MARGIN_MB = 5
+
+
+def _table(params: GameParams, digits: int, fmt: str) -> Result:
+    game = ("-m", str(params.m), "-s", str(params.s), "-l", str(params.l), "-u", str(params.u))
+    return CliRunner().invoke(cli.main, ["dist", *game, "--digits", str(digits), "--format", fmt])
+
+
+# Spawns `python -m bandorbump ARGS` with stdout on the null device and
+# prints its peak RSS in KiB and its exit code.  A child's peak includes the
+# resident set of the process that spawned it (Linux carries the old memory's
+# peak over at exec), so the spawner is this bare interpreter (-I -S), far
+# smaller than any table, and never the test process.
+_PEAK_RSS = """if True:
+    import os, sys
+    null = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+    pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "bandorbump", *sys.argv[1:]], os.environ, file_actions=null)
+    _, status, usage = os.wait4(pid, 0)
+    print(usage.ru_maxrss, os.waitstatus_to_exitcode(status))
+"""
+
+
+def _peak_rss_mb(*args: str) -> float:
+    """The peak resident set of one fresh `bandorbump` process, in MB."""
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", _PEAK_RSS, *args], capture_output=True, text=True, timeout=TIMEOUT
+    )
+    kib, code = map(int, proc.stdout.split())
+    assert code == 0, args
+    return kib / 1024
+
+
+class TestStreamedTable:
+    """dist writes its table row by row, and the bytes are those of the table built whole."""
+
+    def test_the_cases_cover_the_edge_decks(self):
+        decks = [p for p, _ in _TABLE_CASES]
+        assert len(decks) == 627
+        assert any(p.l == 0 for p in decks)
+        assert any(p.u == p.s for p in decks)
+        assert any(0 < p.l == p.u < p.s for p in decks)
+
+    def test_json_is_the_whole_document(self):
+        nulls = 0
+        for params, digits in _TABLE_CASES:
+            dist = joint_distribution(params)
+            expected = json.dumps(dist_json(dist, moments(dist), digits), indent=2) + "\n"
+            result = _table(params, digits, "json")
+            assert result.exit_code == 0, params
+            assert result.stdout == expected, params
+            nulls += '_conditional": null' in expected
+        assert nulls  # u = s, or l = 0 with no band, leaves an outcome without mass
+
+    def test_csv_is_the_whole_table(self):
+        for params, digits in _TABLE_CASES:
+            dist = joint_distribution(params)
+            result = _table(params, digits, "csv")
+            assert result.exit_code == 0, params
+            assert result.stdout == dist_csv(dist, moments(dist), digits), params
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_is_flushed_once(self, monkeypatch, fmt):
+        # A flush per row would cost a write call per row on a real stdout.
+        flushes = []
+
+        class Stdout(io.StringIO):
+            def flush(self):
+                flushes.append(self.tell())
+
+        out = Stdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        game = ("-m", "4", "-s", "100", "-l", "40", "-u", "60")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["dist", *game, "--format", fmt], prog_name="bandorbump")
+        assert exc.value.code == 0
+        assert flushes == [len(out.getvalue())]
+
+    @pytest.mark.skipif(not hasattr(os, "posix_spawn"), reason="needs os.posix_spawn and os.wait4")
+    def test_json_peaks_at_the_csv_memory(self):
+        deck = ("dist", "-m", "400", "-s", "4", "-l", "1", "-u", "3", "--digits", "20")
+        csv_mb = _peak_rss_mb(*deck, "--format", "csv")
+        json_mb = _peak_rss_mb(*deck, "--format", "json")
+        assert json_mb <= csv_mb + _STREAM_MARGIN_MB, (json_mb, csv_mb)
 
 
 # Runs the CLI on two CPUs, where a fork fails or each forked worker exits
@@ -610,9 +714,13 @@ class TestPayoff:
 
 
 _OUT_GAME = ("-m", "2", "-s", "3", "-l", "1", "-u", "2")
+# Its CSV (21 KB) and JSON (196 KB) overflow stdout's buffer, so a buffered
+# write fails after some rows, not at the final flush.
+_LARGE_GAME = ("-m", "4", "-s", "100", "-l", "40", "-u", "60", "--digits", "20")
 
 # Every command, and help, against an stdout that cannot be written; the
-# write fails at once unbuffered, and only at the flush when buffered.
+# write fails at once unbuffered, and only at the flush when buffered,
+# except for the two large tables.
 each_output_command = pytest.mark.parametrize(
     "args",
     [
@@ -623,8 +731,10 @@ each_output_command = pytest.mark.parametrize(
         ("scan", "nonvacuity", "--m-max", "2", "--s-max", "3"),
         ("--help",),
         ("dist", "--help"),
+        ("dist", *_LARGE_GAME),
+        ("dist", *_LARGE_GAME, "--format", "json"),
     ],
-    ids=["dist-csv", "dist-json", "verify", "payoff", "scan", "help", "dist-help"],
+    ids=["dist-csv", "dist-json", "verify", "payoff", "scan", "help", "dist-help", "dist-csv-large", "dist-json-large"],
 )
 each_buffering = pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
 
