@@ -11,7 +11,7 @@ paper's bump sum is strictly positive wherever its index ranges
 (``bump_k_range``, ``bump_kpp_range``) admit it, and whether the bump mass
 sequences are log-concave.  The non-vacuity scan reads each term's count of
 deals as one coefficient of a product of two generating-function powers,
-raised once per cell by the engine's recurrence, ``distribution.power``.  A
+raised once per cell by the engine's ``distribution.power``.  A
 scan returns its counts of cells and checks and its findings, nothing of its
 own arguments; no findings means the property holds on the grid.  Bump
 log-concavity is an open conjecture, so scan hits there are findings to
@@ -198,7 +198,8 @@ def nonvacuity_scan(
     k >= 1, so its sign is that of its count of deals,
     C(m - k, k'') * [z**j] (A**(m-k-k'') * B**k''), with j = n - 1 - k*u and
     A, B one rank's counting polynomials over [0, l - 1] and [l, u - 1].
-    Every power comes from the engine's recurrence, ``distribution.power``.
+    Every power comes from the engine's ``distribution.power``; on grids of
+    m <= 9 every exponent is at most 8, so each is one packed integer power.
     """
     cells = 0
     checks = 0

@@ -212,8 +212,8 @@ def _json_table(dist: JointDistribution, report: MomentsReport, digits: int):
 
     The bytes are those of json.dumps(doc, indent=2) on the whole document:
     the document without its rows is encoded once and cut where its empty
-    "rows" list stands, and each row, encoded with the same settings, is
-    indented by the two levels it sits at.
+    "rows" list stands; a row and a value block of placeholders, encoded with
+    the same settings and indented by the levels they sit at, are filled in.
     """
     p = dist.params
 
@@ -242,18 +242,18 @@ def _json_table(dist: JointDistribution, report: MomentsReport, digits: int):
     }
     head, _, tail = json.dumps(frame, indent=2).partition('"rows": []')
     yield head + '"rows": ['
-    encode = json.JSONEncoder(indent=2).encode
+
+    def template(doc: dict, indent: str) -> str:
+        """doc encoded and indented by indent, with a %s slot wherever the placeholder "\\0" stood."""
+        return "%s".join(json.dumps(doc, indent=2).replace("\n", "\n" + indent).split('"\\u0000"'))
+
+    keys = ("n", "band", "bump", "total", "band_conditional", "bump_conditional")
+    row, block = template(dict.fromkeys(keys, "\0"), "    "), template({"exact": "\0", "decimal": "\0"}, "      ")
+    quote = json.encoder.encode_basestring_ascii  # the escaper of json.dumps
     separator = "\n    "
-    for n, band, bump, total, cond_band, cond_bump in _dist_rows(dist):
-        row = {
-            "n": n,
-            "band": _json_value(band, digits),
-            "bump": _json_value(bump, digits),
-            "total": _json_value(total, digits),
-            "band_conditional": _json_value(cond_band, digits),
-            "bump_conditional": _json_value(cond_bump, digits),
-        }
-        yield separator + encode(row).replace("\n", "\n    ")
+    for n, *cells in _dist_rows(dist):
+        values = ("null" if x is None else block % (quote(_rat(x)), quote(to_decimal(x, digits))) for x in cells)
+        yield separator + row % (n, *values)
         separator = ",\n    "
     yield "\n  ]" + tail  # never "[]": a law has a row at its first draw with mass
 

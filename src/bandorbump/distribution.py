@@ -30,15 +30,16 @@ sit inside the window) and
 
 (the last card's rank held u of its s cards and the last card is one of the
 s - u left; the other m - 1 ranks are all at most u and not all inside the
-window, or play would already have stopped on a band).  Each power comes
-from J.C.P. Miller's recurrence, which finds every coefficient of a power
-from the ones before it (see ``power``): O(n_max * u) coefficient
-operations per power whatever m is, where a chain of m - 1 products costs
-O(m * n_max * u).  The scale from n * C(t, n) to L is one running
-integer, carried from draw to draw by one multiplication and one exact
-division.  The u = s corner (no bump, as s - u = 0) and the l = u corner
-run through the same routine.  Only l = 0, where the deal stops at the
-first card, is special.
+window, or play would already have stopped on a band).  ``power`` raises
+each, for m - 1 <= 8 by Kronecker substitution (the polynomial packed into
+one integer and raised by one integer power), and above that by J.C.P.
+Miller's recurrence, which finds every coefficient of a power from the ones
+before it: O(n_max * u) coefficient operations whatever m is, where a chain
+of m - 1 products costs O(m * n_max * u).  The scale from n * C(t, n) to L
+is one running integer, carried from draw to draw by one multiplication
+and one exact division.  The u = s corner (no bump, as s - u = 0) and the
+l = u corner run through the same routine.  Only l = 0, where the deal
+stops at the first card, is special.
 
 The law is carried as integers.  t * C(t-1, k) divides L = lcm(1, ..., t)
 for every k (Farhi, Amer. Math. Monthly 116, 2009), so each cell is an
@@ -57,7 +58,8 @@ n * C(t, n) reads
     band(n) + bump(n) = (t-n+1) * [z**(n-1)] F - n * [z**n] F.
 
 D**m and C**m are each one truncated product past the (m-1)-th powers the
-columns read, so this check sets the recurrence against a convolution.
+columns read, so this check sets either route of ``power`` against a
+convolution that shares no code with it.
 [z**n] F must also be 1 at n = 0 and 0 at n_max.  A failure raises
 ConsistencyError, as does a failed mass check.  Such an error means the
 engine itself is wrong and must never be swallowed.
@@ -190,43 +192,78 @@ class JointDistribution:
 # ==================== assembly ====================
 
 
+# The largest exponent raised by one packed integer power; above it, Miller's
+# recurrence is the faster route.  See ``power`` and CHANGES.md for the timings.
+_PACK_MAX = 8
+
+
 def power(poly: list[int], e: int, degree: int) -> list[int]:
-    """poly**e truncated at degree, by J.C.P. Miller's recurrence.
+    """poly**e truncated at degree, for a polynomial with no negative coefficient.
 
     Write poly = z**low * d with d = d[0] + d[1] z + ... + d[r] z**r and
-    d[0] != 0.  P = d**e satisfies d * P' = e * d' * P, which reads
-    coefficient by coefficient
-
-        d[0] * k * p[k] = sum_{i=1..min(k,r)} ((e+1) * i - k) * d[i] * p[k-i]
-
-    from p[0] = d[0]**e (Knuth, The Art of Computer Programming, vol. 2,
-    section 4.7); poly**e is P shifted by low * e.  Each coefficient costs
-    two dot products of length at most r and one exact division, so a power
-    costs O(degree * r) coefficient operations whatever e is (e = 1 returns
-    poly truncated; a negative degree gives []).  A remainder means the
-    arithmetic is wrong and raises ConsistencyError; the zero polynomial,
-    with no d[0], raises ValueError.
+    d[0] != 0; poly**e is d**e shifted by low * e.  Up to e = _PACK_MAX,
+    d**e comes from one integer power (``_packed_power``); above it, from
+    J.C.P. Miller's recurrence (``_miller_power``), whose cost does not grow
+    with e.  e = 1 returns poly truncated, and a negative degree gives [].
+    A polynomial with a negative coefficient, whose packed slots could
+    borrow from one another, raises ValueError on every route, as does the
+    zero polynomial, which has no d[0].
     """
     low = next((i for i, c in enumerate(poly) if c), None)
     if low is None:
         raise ValueError(f"power of the zero polynomial {poly}")
+    if min(poly) < 0:
+        raise ValueError(f"power of {poly}, which has a negative coefficient")
     if e == 1:
         return poly[: max(degree + 1, 0)]
-    d0, rest = poly[low], poly[low + 1 :]  # d[0] and d[1..r]
+    # the coefficients of d**e that reach degree: at most e * r + 1 of them
+    count = min(e * (len(poly) - 1 - low), degree - low * e) + 1
+    p = (_packed_power if e <= _PACK_MAX else _miller_power)(poly[low:], e, count)
+    return ([0] * (low * e) + p)[: max(degree + 1, 0)]
+
+
+def _packed_power(d: list[int], e: int, count: int) -> list[int]:
+    """The first count coefficients of d**e by Kronecker substitution.
+
+    d is packed into one integer, one little-endian slot of nb bytes per
+    coefficient, and raised by one ``pow``; the slots of the result are the
+    coefficients of d**e.  With no negative coefficient, every coefficient
+    of d**e, and of d itself, is at most sum(d)**max(e, 1), so nb bytes hold
+    each and no slot carries into the next.
+    """
+    nb = ((sum(d) ** max(e, 1)).bit_length() + 7) // 8
+    x = int.from_bytes(b"".join(c.to_bytes(nb, "little") for c in d), "little")
+    slots = pow(x, e).to_bytes(nb * (e * (len(d) - 1) + 1), "little")
+    return [int.from_bytes(slots[i : i + nb], "little") for i in range(0, nb * count, nb)]
+
+
+def _miller_power(d: list[int], e: int, count: int) -> list[int]:
+    """The first count coefficients (at least one) of d**e by J.C.P. Miller's recurrence.
+
+    P = d**e satisfies d * P' = e * d' * P, which reads coefficient by
+    coefficient
+
+        d[0] * k * p[k] = sum_{i=1..min(k,r)} ((e+1) * i - k) * d[i] * p[k-i]
+
+    from p[0] = d[0]**e (Knuth, The Art of Computer Programming, vol. 2,
+    section 4.7).  Each coefficient costs two dot products of length at most
+    r and one exact division, so a power costs O(count * r) coefficient
+    operations whatever e is.  A remainder means the arithmetic is wrong and
+    raises ConsistencyError.
+    """
+    d0, rest = d[0], d[1:]  # d[0] and d[1..r]
     lift = [(e + 1) * i * c for i, c in enumerate(rest, 1)]  # (e+1) * i * d[i]
     p = [d0**e]
-    for k in range(1, min(e * len(rest), degree - low * e) + 1):
+    for k in range(1, count):
         # p holds p[0..k-1], so reversed(p) pairs p[k-i] with d[i] for i = 1..min(k, r).
         q, rem = divmod(
             sum(map(operator.mul, lift, reversed(p))) - k * sum(map(operator.mul, rest, reversed(p))),
             k * d0,
         )
         if rem:
-            raise ConsistencyError(
-                f"Miller's recurrence leaves a remainder at z**{low * e + k} of poly**{e}"
-            )
+            raise ConsistencyError(f"Miller's recurrence leaves a remainder at z**{k} of d**{e}")
         p.append(q)
-    return ([0] * (low * e) + p)[: max(degree + 1, 0)]
+    return p
 
 
 def _gf_rows(params: GameParams) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -513,42 +513,107 @@ def _product_chain(poly: list[int], e: int, degree: int) -> list[int]:
     return out
 
 
+K = distribution._PACK_MAX  # the largest exponent raised by one packed integer power
+
+
 class TestMillerPower:
-    """``power`` by the recurrence against repeated convolution."""
+    """``power``, packed up to K and by the recurrence above it, against repeated convolution."""
 
     def test_every_small_window_matches_the_product_chain(self):
-        seen = {"shifted": 0, "zeroth": 0, "below_full": 0, "all_truncated": 0}
+        seen = {"shifted": 0, "zeroth": 0, "below_full": 0, "all_truncated": 0, "recurrence": 0}
         for s in range(0, 9):
             for lo in range(0, s + 1):
                 for hi in range(lo, s + 1):
                     poly = window_poly(s, lo, hi)
-                    for e in range(0, 8):
+                    for e in range(0, K + 3):  # both routes and the switch between them
                         full = e * hi
                         for degree in range(0, full + 1):
                             assert distribution.power(poly, e, degree) == _product_chain(
                                 poly, e, degree
                             ), (s, lo, hi, e, degree)
-                            # lo >= 1: the recurrence starts from d[0] = C(s, lo), not 1
+                            # lo >= 1: both routes start from d[0] = C(s, lo), not 1
                             seen["shifted"] += lo >= 1 and math.comb(s, lo) != 1
                             seen["zeroth"] += e == 0  # the m = 1 decks
                             seen["below_full"] += degree < full
                             seen["all_truncated"] += degree < lo * e
+                            seen["recurrence"] += e > K
         assert all(seen.values()), seen
 
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            window_poly(20, 0, 20),
+            window_poly(60, 10, 50),
+            window_poly(150, 60, 90),
+            window_poly(300, 120, 180),
+            window_poly(300, 0, 3),
+            [0, 0, 5],
+            [2**64 - 1, 1, 2**64 - 1],
+        ],
+        ids=["20,0,20", "60,10,50", "150,60,90", "300,120,180", "300,0,3", "z^2*5", "wide-slots"],
+    )
+    def test_wide_windows_match_the_product_chain(self, poly):
+        # coefficients of hundreds of digits fill slots of many bytes; [0, 0, 5]
+        # starts at z**2, and the last puts a 1 between two coefficients that
+        # fill eight bytes each
+        low = next(i for i, c in enumerate(poly) if c)
+        for e in range(0, K + 2):
+            full = e * (len(poly) - 1)
+            for degree in sorted({full, full // 2, low * e + 1}):
+                assert distribution.power(poly, e, degree) == _product_chain(poly, e, degree), (e, degree)
+
+    def test_zeroth_power_of_coefficients_past_one_byte(self):
+        # d**0 = 1 needs one byte, but packing d itself needs slots that hold d
+        for poly in ([300, 1], [0, 256, 2**70], [0, 0, 5]):
+            for degree in (0, 4):
+                assert distribution.power(poly, 0, degree) == [1], poly
+
+    @pytest.mark.parametrize("e", [2, K, K + 1])
+    def test_degree_below_the_shift_gives_zeros(self, e):
+        # poly**e starts at z**(low * e), so every coefficient up to degree is 0
+        poly = [0, 0, 5, 1]
+        for degree in range(0, 2 * e):
+            assert distribution.power(poly, e, degree) == [0] * (degree + 1), degree
+
+    @pytest.mark.parametrize("e", [0, 1, 2, K, K + 1])
+    def test_negative_coefficient_is_refused(self, e):
+        # packing relies on every coefficient being at least 0; neither route takes one
+        for poly in ([1, -1], [0, 3, 0, -2], [-4]):
+            with pytest.raises(ValueError, match=r"has a negative coefficient$"):
+                distribution.power(poly, e, 5)
+
+    def test_packs_up_to_k_and_recurs_above(self, monkeypatch):
+        # K was measured (CHANGES.md); moving it must move this test too
+        assert K == 8
+        calls = []
+        for name in ("_packed_power", "_miller_power"):
+            real = getattr(distribution, name)
+            monkeypatch.setattr(
+                distribution, name, lambda d, e, count, name=name, real=real: calls.append(name) or real(d, e, count)
+            )
+        poly = window_poly(6, 1, 4)
+        for e in range(0, K + 4):
+            calls.clear()
+            assert distribution.power(poly, e, 3 * e) == _product_chain(poly, e, 3 * e)
+            expected = [] if e == 1 else ["_packed_power"] if e <= K else ["_miller_power"]
+            assert calls == expected, e
+
     def test_a_slip_in_the_recurrence_leaves_a_remainder(self, monkeypatch):
-        # every division is exact, so an off-by-one sum must raise, never round
+        # every division is exact, so an off-by-one sum must raise, never round;
+        # only exponents above K reach the recurrence
         monkeypatch.setattr(distribution, "sum", lambda terms: builtins.sum(terms) + 1, raising=False)
         with pytest.raises(ConsistencyError, match="Miller's recurrence leaves a remainder"):
-            distribution.power(window_poly(4, 0, 3), 3, 9)
-        # (3, 3, 1, 2) raises its powers to e = 2; TINY, with m = 2, runs no recurrence
+            distribution.power(window_poly(4, 0, 3), K + 1, 9)
+        # (K + 2, 3, 1, 2) raises its powers to e = K + 1
         with pytest.raises(ConsistencyError, match="Miller's recurrence leaves a remainder"):
-            joint_distribution(GameParams(3, 3, 1, 2))
+            joint_distribution(GameParams(K + 2, 3, 1, 2))
 
     def test_first_power_is_the_polynomial_itself(self, monkeypatch):
-        # e = 1 runs no recurrence: with every dot product refused, power still
-        # returns the window, truncated at degree
+        # e = 1 runs neither route: with every sum refused (the recurrence's dot
+        # products and the packed route's slot size), power still returns the
+        # window, truncated at degree
         def refuse(terms):
-            raise AssertionError("power ran the recurrence at e = 1")
+            raise AssertionError("power ran a route at e = 1")
 
         monkeypatch.setattr(distribution, "sum", refuse, raising=False)
         poly = window_poly(6, 1, 4)
