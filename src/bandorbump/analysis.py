@@ -9,24 +9,22 @@ The scans sweep the paper's general case, 0 < l < u < s, over parameter
 grids; this module alone knows that case.  They check that every term of the
 paper's bump sum is strictly positive wherever its index ranges
 (``bump_k_range``, ``bump_kpp_range``) admit it, and whether the bump mass
-sequences are log-concave.  The non-vacuity scan reads each term's count of
-deals as one coefficient of a product of two generating-function powers,
-raised once per cell by the engine's ``distribution.power``.  A
-scan returns its counts of cells and checks and its findings, nothing of its
-own arguments; no findings means the property holds on the grid.  Bump
-log-concavity is an open conjecture, so scan hits there are findings to
-report, not failures.  Band log-concavity is a theorem, and a violation would
-mean an engine bug; the tests check it on the same grids.
+sequences are log-concave.  The non-vacuity scan reads each term's sign
+from the support of its count of deals, an interval of degrees, with no
+polynomial arithmetic.  A scan returns its counts of cells and checks and
+its findings, nothing of its own arguments; no findings means the property
+holds on the grid.  Bump log-concavity is an open conjecture, so scan hits
+there are findings to report, not failures.  Band log-concavity is a
+theorem, and a violation would mean an engine bug; the tests check it on the
+same grids.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .distribution import GameParams, JointDistribution, joint_distribution, power
-from .hypergeom import window_poly
+from .distribution import GameParams, JointDistribution, joint_distribution
 
 
 # ==================== moments ====================
@@ -181,11 +179,6 @@ def _general_grid(m_range: tuple[int, int], s_range: tuple[int, int]):
                     yield GameParams(m, s, l, u)
 
 
-def _product_coef(a: list[int], b: list[int], j: int) -> int:
-    """[z**j] of the product of the coefficient lists a and b."""
-    return sum(a[i] * b[j - i] for i in range(max(0, j - len(b) + 1), min(len(a), j + 1)))
-
-
 def nonvacuity_scan(
     m_range: tuple[int, int] = (2, 8), s_range: tuple[int, int] = (2, 8)
 ) -> ScanReport:
@@ -198,8 +191,13 @@ def nonvacuity_scan(
     k >= 1, so its sign is that of its count of deals,
     C(m - k, k'') * [z**j] (A**(m-k-k'') * B**k''), with j = n - 1 - k*u and
     A, B one rank's counting polynomials over [0, l - 1] and [l, u - 1].
-    Every power comes from the engine's ``distribution.power``; on grids of
-    m <= 9 every exponent is at most 8, so each is one packed integer power.
+
+    That count is positive exactly when 0 <= k'' <= m - k (the binomial) and
+    k'' * l <= j <= (m-k-k'') * (l-1) + k'' * (u-1): A and B have positive
+    coefficients C(s, x), x < s, on exactly [0, l - 1] and [l, u - 1], and a
+    product of polynomials positive on exactly [a0, a1] and [b0, b1] is
+    positive on exactly [a0 + b0, a1 + b1].  The tests hold this lemma
+    against the exact coefficients.
     """
     cells = 0
     checks = 0
@@ -207,9 +205,6 @@ def nonvacuity_scan(
     for p in _general_grid(m_range, s_range):
         cells += 1
         m, s, l, u = p.m, p.s, p.l, p.u
-        degree = p.n_max - 1 - u  # largest j, at n = n_max and k = 1
-        below = [power(window_poly(s, 0, l - 1), e, degree) for e in range(m)]  # A**0 .. A**(m-1)
-        interior = [power(window_poly(s, l, u - 1), e, degree) for e in range(m)]  # B**0 .. B**(m-1)
         for n in range(u + 1, p.n_max + 1):
             k_lo, k_hi = bump_k_range(p, n)
             if k_lo > k_hi:
@@ -224,8 +219,8 @@ def nonvacuity_scan(
                 j = n - 1 - k * u
                 for kpp in range(kpp_lo, kpp_hi + 1):
                     checks += 1
-                    count = _product_coef(below[m - k - kpp], interior[kpp], j)
-                    if math.comb(m - k, kpp) * count <= 0:
+                    # the support of C(m - k, k'') * A**(m-k-k'') * B**k''
+                    if not (0 <= kpp <= m - k and kpp * l <= j <= (m - k - kpp) * (l - 1) + kpp * (u - 1)):
                         findings.append(Finding(m, s, l, u, n, k, kpp, "non-positive summand"))
     return ScanReport(cells, checks, tuple(findings))
 

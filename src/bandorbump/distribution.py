@@ -197,17 +197,18 @@ class JointDistribution:
 _PACK_MAX = 8
 
 
-def power(poly: list[int], e: int, degree: int) -> list[int]:
-    """poly**e truncated at degree, for a polynomial with no negative coefficient.
+def power(poly: list[int], e: int) -> list[int]:
+    """poly**e, every coefficient of it, for a polynomial with no negative coefficient.
 
     Write poly = z**low * d with d = d[0] + d[1] z + ... + d[r] z**r and
     d[0] != 0; poly**e is d**e shifted by low * e.  Up to e = _PACK_MAX,
     d**e comes from one integer power (``_packed_power``); above it, from
     J.C.P. Miller's recurrence (``_miller_power``), whose cost does not grow
-    with e.  e = 1 returns poly truncated, and a negative degree gives [].
-    A polynomial with a negative coefficient, whose packed slots could
-    borrow from one another, raises ValueError on every route, as does the
-    zero polynomial, which has no d[0].
+    with e.  e = 1 returns a copy of poly.  The result is always a new list,
+    so a caller may change it without touching poly.  A polynomial with a
+    negative coefficient, whose packed slots could borrow from one another,
+    raises ValueError on every route, as does the zero polynomial, which has
+    no d[0].
     """
     low = next((i for i, c in enumerate(poly) if c), None)
     if low is None:
@@ -215,15 +216,12 @@ def power(poly: list[int], e: int, degree: int) -> list[int]:
     if min(poly) < 0:
         raise ValueError(f"power of {poly}, which has a negative coefficient")
     if e == 1:
-        return poly[: max(degree + 1, 0)]
-    # the coefficients of d**e that reach degree: at most e * r + 1 of them
-    count = min(e * (len(poly) - 1 - low), degree - low * e) + 1
-    p = (_packed_power if e <= _PACK_MAX else _miller_power)(poly[low:], e, count)
-    return ([0] * (low * e) + p)[: max(degree + 1, 0)]
+        return list(poly)
+    return [0] * (low * e) + (_packed_power if e <= _PACK_MAX else _miller_power)(poly[low:], e)
 
 
-def _packed_power(d: list[int], e: int, count: int) -> list[int]:
-    """The first count coefficients of d**e by Kronecker substitution.
+def _packed_power(d: list[int], e: int) -> list[int]:
+    """The e * r + 1 coefficients of d**e by Kronecker substitution.
 
     d is packed into one integer, one little-endian slot of nb bytes per
     coefficient, and raised by one ``pow``; the slots of the result are the
@@ -234,11 +232,11 @@ def _packed_power(d: list[int], e: int, count: int) -> list[int]:
     nb = ((sum(d) ** max(e, 1)).bit_length() + 7) // 8
     x = int.from_bytes(b"".join(c.to_bytes(nb, "little") for c in d), "little")
     slots = pow(x, e).to_bytes(nb * (e * (len(d) - 1) + 1), "little")
-    return [int.from_bytes(slots[i : i + nb], "little") for i in range(0, nb * count, nb)]
+    return [int.from_bytes(slots[i : i + nb], "little") for i in range(0, len(slots), nb)]
 
 
-def _miller_power(d: list[int], e: int, count: int) -> list[int]:
-    """The first count coefficients (at least one) of d**e by J.C.P. Miller's recurrence.
+def _miller_power(d: list[int], e: int) -> list[int]:
+    """The e * r + 1 coefficients of d**e by J.C.P. Miller's recurrence.
 
     P = d**e satisfies d * P' = e * d' * P, which reads coefficient by
     coefficient
@@ -247,14 +245,13 @@ def _miller_power(d: list[int], e: int, count: int) -> list[int]:
 
     from p[0] = d[0]**e (Knuth, The Art of Computer Programming, vol. 2,
     section 4.7).  Each coefficient costs two dot products of length at most
-    r and one exact division, so a power costs O(count * r) coefficient
-    operations whatever e is.  A remainder means the arithmetic is wrong and
-    raises ConsistencyError.
+    r and one exact division, whatever e is.  A remainder means the
+    arithmetic is wrong and raises ConsistencyError.
     """
     d0, rest = d[0], d[1:]  # d[0] and d[1..r]
     lift = [(e + 1) * i * c for i, c in enumerate(rest, 1)]  # (e+1) * i * d[i]
     p = [d0**e]
-    for k in range(1, count):
+    for k in range(1, e * len(rest) + 1):
         # p holds p[0..k-1], so reversed(p) pairs p[k-i] with d[i] for i = 1..min(k, r).
         q, rem = divmod(
             sum(map(operator.mul, lift, reversed(p))) - k * sum(map(operator.mul, rest, reversed(p))),
@@ -267,7 +264,7 @@ def _miller_power(d: list[int], e: int, count: int) -> list[int]:
 
 
 def _gf_rows(params: GameParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Band and bump columns over L for l >= 1 from truncated generating-function powers.
+    """Band and bump columns over L for l >= 1 from generating-function powers.
 
     Both columns cover every draw n = 0..n_max.  Draw 0 is 0; from draw 1 the
     powers are padded with leading zeros for their negative powers of z, so
@@ -276,8 +273,8 @@ def _gf_rows(params: GameParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
     m, s, l, u, t = params.m, params.s, params.l, params.u, params.t
     top = params.n_max
     window, under_cap = window_poly(s, l, u), window_poly(s, 0, u)  # C, D
-    inside = power(window, m - 1, top)
-    capped = power(under_cap, m - 1, top)
+    inside = power(window, m - 1)  # degree (m - 1) * u, so l leading zeros reach n_max
+    capped = power(under_cap, m - 1)
     # [z**n] alive counts the n-card hands after which play is still running:
     # every tally at most u, less those with every tally inside [l, u].
     all_capped = truncated_product(capped, under_cap, top)

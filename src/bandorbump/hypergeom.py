@@ -5,9 +5,10 @@ counted by C(rank_size, x) * z**x, so the deals whose tallies keep every rank
 inside its own window are counted by the coefficients of the product of the
 ranks' window polynomials.  ``window_poly`` builds one rank's polynomial and
 ``truncated_product`` multiplies two with exact integer convolution, dropping
-every degree beyond the last draw of interest.  The engine and the
-non-vacuity scan raise these with ``distribution.power``, by one packed
-integer power up to the eighth and by Miller's recurrence above it;
+every degree beyond the last draw of interest.  The engine raises these
+with ``distribution.power``, by one packed integer power up to the eighth
+and by Miller's recurrence above it; the non-vacuity scan raises none, as it
+reads the sign of each count from the polynomials' supports.
 ``truncated_product`` serves the engine's survival check and the reference
 forms in ``tests/reference.py``.  No count ever touches floating point.
 """

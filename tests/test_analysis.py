@@ -2,6 +2,7 @@ import gc
 import json
 import time
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from bandorbump.analysis import (
 )
 from bandorbump.distribution import ConsistencyError, GameParams, joint_distribution
 from bandorbump.exactnum import sqrt_decimal, to_decimal
+from bandorbump.hypergeom import truncated_product, window_poly
 from reference import band_logconcavity_violations
 
 SUIT_GAME = GameParams(4, 13, 5, 8)
@@ -304,6 +306,38 @@ class TestScans:
         assert report.checks == 0
 
 
+def _chain_powers(poly: list[int], top: int) -> list[list[int]]:
+    """poly**0 .. poly**top, each by one more truncated product, never truncated."""
+    powers = [[1]]
+    for e in range(1, top + 1):
+        powers.append(truncated_product(powers[-1], poly, e * (len(poly) - 1)))
+    return powers
+
+
+def test_summand_support_is_one_interval():
+    # The lemma the non-vacuity scan reads its signs from: with A, B one
+    # rank's polynomials over [0, l - 1] and [l, u - 1], [z**j] A**a * B**b
+    # is positive exactly for b*l <= j <= a*(l-1) + b*(u-1).  Its counts come
+    # from chains of truncated products, not from the engine's power.  The
+    # grid takes every exponent pair a, b <= 7, so every summand of the
+    # default m, s <= 8 scan (a + b = m - k <= 7): 56 windows by 64 pairs in
+    # about 0.05 s (CPython 3.11, one Xeon vCPU).
+    windows = 0
+    for s in range(3, 9):
+        for l in range(1, s):
+            for u in range(l + 1, s):
+                windows += 1
+                below = _chain_powers(window_poly(s, 0, l - 1), 7)
+                interior = _chain_powers(window_poly(s, l, u - 1), 7)
+                for a in range(8):
+                    for b in range(8):
+                        count = truncated_product(below[a], interior[b], a * (l - 1) + b * (u - 1))
+                        for j in range(-1, len(count) + 2):
+                            positive = 0 <= j < len(count) and count[j] > 0
+                            assert positive == (b * l <= j <= a * (l - 1) + b * (u - 1)), (s, l, u, a, b, j)
+    assert windows == 56
+
+
 def widen_kpp_window(monkeypatch):
     """Make analysis.bump_kpp_range start one k'' below every window that starts above 0."""
     real = analysis.bump_kpp_range
@@ -328,6 +362,32 @@ class TestNonvacuityMutants:
             assert f.note == "non-positive summand"
             p = GameParams(f.m, f.s, f.l, f.u)
             assert f.kpp == real(p, f.n, f.k)[0] - 1, f
+
+    def test_raised_kpp_ceiling_reports_every_extra_summand(self, monkeypatch):
+        # the top of the k'' window: one more interior rank, wherever the
+        # window does not already reach m - k
+        real = analysis.bump_kpp_range
+
+        def raised(params, n, k):
+            lo, hi = real(params, n, k)
+            return (lo, hi + 1) if hi < params.m - k else (lo, hi)
+
+        monkeypatch.setattr(analysis, "bump_kpp_range", raised)
+        report = nonvacuity_scan((2, 4), (2, 6))
+        assert (report.cells, report.checks, len(report.findings)) == (60, 1320, 350)
+        for f in report.findings:
+            assert f.note == "non-positive summand"
+            assert f.kpp == real(GameParams(f.m, f.s, f.l, f.u), f.n, f.k)[1] + 1, f
+
+    def test_kpp_outside_the_binomial_is_a_finding(self, monkeypatch):
+        # C(m - k, k'') = 0 outside 0 <= k'' <= m - k, whatever the supports
+        # of A and B admit: k'' = -1 and k'' = m - k + 1 are findings at every
+        # (cell, n, k), each of which the scan checks m - k + 4 times
+        monkeypatch.setattr(analysis, "bump_kpp_range", lambda params, n, k: (-1, params.m - k + 1))
+        report = nonvacuity_scan((2, 4), (2, 6))
+        outside = Counter((f.m, f.s, f.l, f.u, f.n, f.k) for f in report.findings if not 0 <= f.kpp <= f.m - f.k)
+        assert set(outside.values()) == {2}
+        assert report.checks == sum(m - k + 4 for m, _, _, _, _, k in outside)
 
     def test_empty_kpp_window_is_a_finding(self, monkeypatch):
         real = analysis.bump_kpp_range

@@ -91,12 +91,13 @@ def test_hypergeom_keeps_the_polynomial_helpers():
 
 
 def test_one_recurrence_raises_every_power():
-    # The engine and the non-vacuity scan raise polynomials by the same
-    # recurrence; a chain of truncated products survives only in the tests.
-    assert not hasattr(analysis, "_powers")
+    # The engine alone raises polynomials, whole: the non-vacuity scan reads
+    # each summand's sign from its support, and a chain of truncated products
+    # survives only in the tests.
     assert not hasattr(distribution, "_power")
-    assert analysis.power is distribution.power
-    assert "truncated_product" not in vars(analysis)
+    for gone in ("_powers", "power", "window_poly", "_product_coef", "truncated_product"):
+        assert gone not in vars(analysis), gone
+    assert list(inspect.signature(distribution.power).parameters) == ["poly", "e"]
 
 
 def test_only_the_law_types_are_dataclasses():

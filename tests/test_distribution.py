@@ -520,23 +520,17 @@ class TestMillerPower:
     """``power``, packed up to K and by the recurrence above it, against repeated convolution."""
 
     def test_every_small_window_matches_the_product_chain(self):
-        seen = {"shifted": 0, "zeroth": 0, "below_full": 0, "all_truncated": 0, "recurrence": 0}
+        seen = {"shifted": 0, "zeroth": 0, "recurrence": 0}
         for s in range(0, 9):
             for lo in range(0, s + 1):
                 for hi in range(lo, s + 1):
                     poly = window_poly(s, lo, hi)
                     for e in range(0, K + 3):  # both routes and the switch between them
-                        full = e * hi
-                        for degree in range(0, full + 1):
-                            assert distribution.power(poly, e, degree) == _product_chain(
-                                poly, e, degree
-                            ), (s, lo, hi, e, degree)
-                            # lo >= 1: both routes start from d[0] = C(s, lo), not 1
-                            seen["shifted"] += lo >= 1 and math.comb(s, lo) != 1
-                            seen["zeroth"] += e == 0  # the m = 1 decks
-                            seen["below_full"] += degree < full
-                            seen["all_truncated"] += degree < lo * e
-                            seen["recurrence"] += e > K
+                        assert distribution.power(poly, e) == _product_chain(poly, e, e * hi), (s, lo, hi, e)
+                        # lo >= 1: both routes start from d[0] = C(s, lo), not 1
+                        seen["shifted"] += lo >= 1 and math.comb(s, lo) != 1
+                        seen["zeroth"] += e == 0  # the m = 1 decks
+                        seen["recurrence"] += e > K
         assert all(seen.values()), seen
 
     @pytest.mark.parametrize(
@@ -556,31 +550,28 @@ class TestMillerPower:
         # coefficients of hundreds of digits fill slots of many bytes; [0, 0, 5]
         # starts at z**2, and the last puts a 1 between two coefficients that
         # fill eight bytes each
-        low = next(i for i, c in enumerate(poly) if c)
         for e in range(0, K + 2):
-            full = e * (len(poly) - 1)
-            for degree in sorted({full, full // 2, low * e + 1}):
-                assert distribution.power(poly, e, degree) == _product_chain(poly, e, degree), (e, degree)
+            assert distribution.power(poly, e) == _product_chain(poly, e, e * (len(poly) - 1)), e
 
     def test_zeroth_power_of_coefficients_past_one_byte(self):
         # d**0 = 1 needs one byte, but packing d itself needs slots that hold d
         for poly in ([300, 1], [0, 256, 2**70], [0, 0, 5]):
-            for degree in (0, 4):
-                assert distribution.power(poly, 0, degree) == [1], poly
+            assert distribution.power(poly, 0) == [1], poly
 
     @pytest.mark.parametrize("e", [2, K, K + 1])
     def test_degree_below_the_shift_gives_zeros(self, e):
-        # poly**e starts at z**(low * e), so every coefficient up to degree is 0
+        # poly**e starts at z**(low * e), so every coefficient below it is 0
         poly = [0, 0, 5, 1]
-        for degree in range(0, 2 * e):
-            assert distribution.power(poly, e, degree) == [0] * (degree + 1), degree
+        out = distribution.power(poly, e)
+        assert out[: 2 * e] == [0] * (2 * e)
+        assert out[2 * e :] == _product_chain([5, 1], e, e)
 
     @pytest.mark.parametrize("e", [0, 1, 2, K, K + 1])
     def test_negative_coefficient_is_refused(self, e):
         # packing relies on every coefficient being at least 0; neither route takes one
         for poly in ([1, -1], [0, 3, 0, -2], [-4]):
             with pytest.raises(ValueError, match=r"has a negative coefficient$"):
-                distribution.power(poly, e, 5)
+                distribution.power(poly, e)
 
     def test_packs_up_to_k_and_recurs_above(self, monkeypatch):
         # K was measured (CHANGES.md); moving it must move this test too
@@ -589,12 +580,12 @@ class TestMillerPower:
         for name in ("_packed_power", "_miller_power"):
             real = getattr(distribution, name)
             monkeypatch.setattr(
-                distribution, name, lambda d, e, count, name=name, real=real: calls.append(name) or real(d, e, count)
+                distribution, name, lambda d, e, name=name, real=real: calls.append(name) or real(d, e)
             )
         poly = window_poly(6, 1, 4)
         for e in range(0, K + 4):
             calls.clear()
-            assert distribution.power(poly, e, 3 * e) == _product_chain(poly, e, 3 * e)
+            assert distribution.power(poly, e) == _product_chain(poly, e, 4 * e)
             expected = [] if e == 1 else ["_packed_power"] if e <= K else ["_miller_power"]
             assert calls == expected, e
 
@@ -603,7 +594,7 @@ class TestMillerPower:
         # only exponents above K reach the recurrence
         monkeypatch.setattr(distribution, "sum", lambda terms: builtins.sum(terms) + 1, raising=False)
         with pytest.raises(ConsistencyError, match="Miller's recurrence leaves a remainder"):
-            distribution.power(window_poly(4, 0, 3), K + 1, 9)
+            distribution.power(window_poly(4, 0, 3), K + 1)
         # (K + 2, 3, 1, 2) raises its powers to e = K + 1
         with pytest.raises(ConsistencyError, match="Miller's recurrence leaves a remainder"):
             joint_distribution(GameParams(K + 2, 3, 1, 2))
@@ -611,23 +602,24 @@ class TestMillerPower:
     def test_first_power_is_the_polynomial_itself(self, monkeypatch):
         # e = 1 runs neither route: with every sum refused (the recurrence's dot
         # products and the packed route's slot size), power still returns the
-        # window, truncated at degree
+        # window
         def refuse(terms):
             raise AssertionError("power ran a route at e = 1")
 
         monkeypatch.setattr(distribution, "sum", refuse, raising=False)
         poly = window_poly(6, 1, 4)
-        assert distribution.power(poly, 1, 9) == poly
-        assert distribution.power(poly, 1, 2) == poly[:3]
-        assert distribution.power([0, 0, 3, 5], 1, 9) == [0, 0, 3, 5]
+        assert distribution.power(poly, 1) == poly
+        assert distribution.power([0, 0, 3, 5], 1) == [0, 0, 3, 5]
 
-    @pytest.mark.parametrize("degree", [-1, -2, -3])
-    def test_negative_degree_is_empty(self, degree):
-        # no coefficient lies at or below a negative degree; a slice ending at
-        # degree + 1 < 0 would cut from the end of the list instead
-        for poly in ([0, 1], [1, 2, 1]):
-            for e in (0, 1, 2):
-                assert distribution.power(poly, e, degree) == [], (poly, e)
+    @pytest.mark.parametrize("e", [0, 1, 2, K, K + 1])
+    def test_the_power_is_a_new_list(self, e):
+        # callers may change the result in place (_corrupt_power does, and on
+        # an m = 2 deck e = 1 would otherwise corrupt the window itself)
+        poly = window_poly(6, 1, 4)
+        out = distribution.power(poly, e)
+        out[0] += 1
+        out.append(7)
+        assert poly == window_poly(6, 1, 4)
 
     @pytest.mark.parametrize("poly", [[], [0, 0]])
     def test_zero_polynomial_is_refused(self, poly):
@@ -635,7 +627,7 @@ class TestMillerPower:
         # and at e = 1 no polynomial to return
         for e in (2, 1):
             with pytest.raises(ValueError, match=rf"^power of the zero polynomial \{poly}$"):
-                distribution.power(poly, e, 5)
+                distribution.power(poly, e)
 
 
 def _corrupt_window(monkeypatch, lo: int, hi: int, degree: int) -> None:
@@ -655,8 +647,8 @@ def _corrupt_power(monkeypatch, base: list[int], degree: int, delta: int) -> Non
     """Add delta to one coefficient of the engine's power of the polynomial base."""
     real = distribution.power
 
-    def corrupted(poly, e, top):
-        out = real(poly, e, top)
+    def corrupted(poly, e):
+        out = real(poly, e)
         if poly == base:
             out[degree] += delta
         return out
@@ -708,7 +700,7 @@ class TestSurvivalCheck:
         expected = _gf_rows(p)
         caught = 0
         for base in (window_poly(p.s, p.l, p.u), window_poly(p.s, 0, p.u)):
-            for degree in range(len(distribution.power(base, p.m - 1, p.n_max))):
+            for degree in range(len(distribution.power(base, p.m - 1))):
                 for delta in (1, -1):
                     with monkeypatch.context() as mp:
                         _corrupt_power(mp, base, degree, delta)
