@@ -161,11 +161,16 @@ def bump_kpp_range(params: GameParams, n: int, k: int) -> tuple[int, int]:
     non-vacuity scan reports it as a finding.
     """
     k_lo, k_hi = bump_k_range(params, n)  # refuses a boundary cell first
-    m, l, u = params.m, params.l, params.u
-    if not (u + 1 <= n <= params.n_max):
-        raise ValueError(f"n={n} outside bump support [{u + 1}, {params.n_max}]")
+    if not (params.u + 1 <= n <= params.n_max):
+        raise ValueError(f"n={n} outside bump support [{params.u + 1}, {params.n_max}]")
     if not (k_lo <= k <= k_hi):
         raise ValueError(f"k={k} outside admissible range [{k_lo}, {k_hi}] at n={n}")
+    return _kpp_window(params, n, k)
+
+
+def _kpp_window(params: GameParams, n: int, k: int) -> tuple[int, int]:
+    """bump_kpp_range's window, unchecked: for a general cell and an admissible (n, k)."""
+    m, l, u = params.m, params.l, params.u
     n_k = n - 1 - k * u
     num = n_k - (m - k) * (l - 1)
     return max(0, -((-num) // (u - l))), min(n_k // l, m - k - 1)
@@ -212,7 +217,7 @@ def nonvacuity_scan(
                 continue
             for k in range(k_lo, k_hi + 1):
                 checks += 1
-                kpp_lo, kpp_hi = bump_kpp_range(p, n, k)
+                kpp_lo, kpp_hi = _kpp_window(p, n, k)  # (n, k) admissible: bump_kpp_range's checks hold
                 if kpp_lo > kpp_hi:
                     findings.append(Finding(m, s, l, u, n, k, None, "empty interior-rank window"))
                     continue

@@ -6,7 +6,8 @@ be written.  `_checked` alone turns a rejected deck or stake into a usage
 error.  Every output, --help pages included, goes through `_write`, the one
 place a failed write becomes exit 2; any other OSError surfaces as itself.
 `dist` hands `_write` its table as it renders it, one row per chunk, and
-every streamed chunk passes the same guard.
+every streamed chunk passes the same guard.  Every option, --help included,
+is built once, at import, so a command run builds none.
 """
 
 from __future__ import annotations
@@ -71,6 +72,22 @@ digits_option = click.option(
 )
 
 
+def _show_help(ctx: click.Context, param: click.Parameter, value: bool) -> None:
+    """click's --help callback, writing the page through `_write`."""
+    if value and not ctx.resilient_parsing:
+        _write(ctx.get_help())
+        ctx.exit()
+
+
+# The --help of the group and of every command.  click would build one per
+# command on its first run in each process (a decorator, a gettext lookup of
+# the help text and cold isinstance checks), 0.4-0.7 ms of a cold command.
+_help_option = click.Option(
+    ["--help"], is_flag=True, expose_value=False, is_eager=True,
+    help="Show this message and exit.", callback=_show_help,
+)
+
+
 class _Command(click.Command):
     """A command whose short options also match on the long-option lookup.
 
@@ -79,7 +96,8 @@ class _Command(click.Command):
     `difflib` (several ms, most of a small command's cold cost), before it
     falls back to the short options. Registering `-m`, `-s`, `-l` and `-u`
     in the long table makes them match at once; it also reads `-m=13` as
-    `-m 13`.  Its --help page is written through `_write` too.
+    `-m 13`.  Its --help is `_help_option`, built at import, so its page is
+    written through `_write` too.
     """
 
     def make_parser(self, ctx: click.Context):
@@ -88,9 +106,7 @@ class _Command(click.Command):
         return parser
 
     def get_help_option(self, ctx: click.Context) -> click.Option:
-        option = super().get_help_option(ctx)
-        option.callback = _show_help
-        return option
+        return _help_option
 
 
 class _Group(_Command, click.Group):
@@ -142,13 +158,6 @@ def _write(text: str | Iterable[str], out: io.TextIOWrapper | None = None) -> No
         if out is None:
             _drop_stdout()
         raise _cannot_write("stdout" if out is None else out.name, exc) from exc
-
-
-def _show_help(ctx: click.Context, param: click.Parameter, value: bool) -> None:
-    """click's --help callback, writing the page through `_write`."""
-    if value and not ctx.resilient_parsing:
-        _write(ctx.get_help())
-        ctx.exit()
 
 
 @click.group(cls=_Group)

@@ -339,14 +339,14 @@ def test_summand_support_is_one_interval():
 
 
 def widen_kpp_window(monkeypatch):
-    """Make analysis.bump_kpp_range start one k'' below every window that starts above 0."""
-    real = analysis.bump_kpp_range
+    """Make analysis._kpp_window start one k'' below every window that starts above 0."""
+    real = analysis._kpp_window
 
     def widened(params, n, k):
         lo, hi = real(params, n, k)
         return (lo - 1, hi) if lo > 0 else (lo, hi)
 
-    monkeypatch.setattr(analysis, "bump_kpp_range", widened)
+    monkeypatch.setattr(analysis, "_kpp_window", widened)
     return real
 
 
@@ -366,13 +366,13 @@ class TestNonvacuityMutants:
     def test_raised_kpp_ceiling_reports_every_extra_summand(self, monkeypatch):
         # the top of the k'' window: one more interior rank, wherever the
         # window does not already reach m - k
-        real = analysis.bump_kpp_range
+        real = analysis._kpp_window
 
         def raised(params, n, k):
             lo, hi = real(params, n, k)
             return (lo, hi + 1) if hi < params.m - k else (lo, hi)
 
-        monkeypatch.setattr(analysis, "bump_kpp_range", raised)
+        monkeypatch.setattr(analysis, "_kpp_window", raised)
         report = nonvacuity_scan((2, 4), (2, 6))
         assert (report.cells, report.checks, len(report.findings)) == (60, 1320, 350)
         for f in report.findings:
@@ -383,34 +383,34 @@ class TestNonvacuityMutants:
         # C(m - k, k'') = 0 outside 0 <= k'' <= m - k, whatever the supports
         # of A and B admit: k'' = -1 and k'' = m - k + 1 are findings at every
         # (cell, n, k), each of which the scan checks m - k + 4 times
-        monkeypatch.setattr(analysis, "bump_kpp_range", lambda params, n, k: (-1, params.m - k + 1))
+        monkeypatch.setattr(analysis, "_kpp_window", lambda params, n, k: (-1, params.m - k + 1))
         report = nonvacuity_scan((2, 4), (2, 6))
         outside = Counter((f.m, f.s, f.l, f.u, f.n, f.k) for f in report.findings if not 0 <= f.kpp <= f.m - f.k)
         assert set(outside.values()) == {2}
         assert report.checks == sum(m - k + 4 for m, _, _, _, _, k in outside)
 
     def test_empty_kpp_window_is_a_finding(self, monkeypatch):
-        real = analysis.bump_kpp_range
+        real = analysis._kpp_window
         broken = (GameParams(3, 5, 1, 3), 5, 1)
 
         def emptied(params, n, k):
             return (1, 0) if (params, n, k) == broken else real(params, n, k)
 
-        monkeypatch.setattr(analysis, "bump_kpp_range", emptied)
+        monkeypatch.setattr(analysis, "_kpp_window", emptied)
         report = nonvacuity_scan((2, 4), (2, 6))
         assert report.findings == (Finding(3, 5, 1, 3, 5, 1, None, "empty interior-rank window"),)
 
     def test_consistency_error_is_never_swallowed(self, monkeypatch):
         # ConsistencyError means the engine is wrong; the scan must not turn
         # it into a finding.
-        real = analysis.bump_kpp_range
+        real = analysis._kpp_window
 
         def raising(params, n, k):
             if (params, n, k) == (GameParams(3, 5, 1, 3), 5, 1):
                 raise ConsistencyError("forced")
             return real(params, n, k)
 
-        monkeypatch.setattr(analysis, "bump_kpp_range", raising)
+        monkeypatch.setattr(analysis, "_kpp_window", raising)
         with pytest.raises(ConsistencyError, match="forced"):
             nonvacuity_scan((2, 4), (2, 6))
 

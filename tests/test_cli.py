@@ -784,16 +784,45 @@ class TestBrokenPipe:
         assert proc.stderr == ""
 
 
-_NO_DIFFLIB = """
+# Well-formed commands in a fresh interpreter: after import, none imports
+# difflib, builds a click.Option (--help included) or looks up a translation.
+_COLD_COMMANDS = """
+import gettext
 import sys
+
+import click
+
 from bandorbump import cli
+
+built = []
+option_init, dgettext = click.Option.__init__, gettext.dgettext
+
+
+def spied_option_init(self, *args, **kwargs):
+    built.append(("click.Option", args))
+    option_init(self, *args, **kwargs)
+
+
+def spied_dgettext(*args):
+    built.append(("gettext.dgettext", args))
+    return dgettext(*args)
+
+
+click.Option.__init__, gettext.dgettext = spied_option_init, spied_dgettext
 game = ["-m", "2", "-s", "3", "-l", "1", "-u", "2"]
-for args in (["dist", *game], ["verify", *game], ["payoff", *game, "--band", "1", "--bump", "0"]):
+for args in (
+    ["dist", *game],
+    ["dist", *game, "--format", "json"],
+    ["verify", *game],
+    ["payoff", *game, "--band", "1", "--bump", "0"],
+    ["scan", "nonvacuity", "--m-max", "2", "--s-max", "3"],
+):
     try:
         cli.main(args, standalone_mode=False)
     except SystemExit as exc:
         assert exc.code == 0, (args, exc.code)
 assert "difflib" not in sys.modules, "a game option missed click's long-option lookup"
+assert not built, built
 """
 
 
@@ -803,7 +832,7 @@ class TestOptionParsing:
     def test_game_options_never_import_difflib(self):
         # A fresh interpreter: pytest itself has imported difflib.
         proc = subprocess.run(
-            [sys.executable, "-c", _NO_DIFFLIB], capture_output=True, text=True, timeout=TIMEOUT
+            [sys.executable, "-c", _COLD_COMMANDS], capture_output=True, text=True, timeout=TIMEOUT
         )
         assert proc.returncode == 0, proc.stderr
         # A real typo still gets click's suggestion.
@@ -844,6 +873,93 @@ class TestOptionParsing:
         result = CliRunner().invoke(cli.main, list(args))
         assert result.exit_code == 2
         assert message in result.output
+
+
+# Every help page byte for byte, as click wraps it for an 80-column terminal.
+HELP_PAGES = {
+    "": """\
+Usage: bandorbump [OPTIONS] COMMAND [ARGS]...
+
+  Exact stopping-time and outcome distributions for band-or-bump deals.
+
+Options:
+  --help  Show this message and exit.
+
+Commands:
+  dist    Print the joint stopping-draw/outcome table.
+  payoff  Expected payoff of one deal under per-outcome stakes.
+  scan    Sweep a parameter grid for structural properties of the bump sum.
+  verify  Check the closed forms against independent recomputation.
+""",
+    "dist": """\
+Usage: bandorbump dist [OPTIONS]
+
+  Print the joint stopping-draw/outcome table.
+
+Options:
+  -m INTEGER              Number of ranks.  [required]
+  -s INTEGER              Cards per rank.  [required]
+  -l INTEGER              Lower tally quota.  [required]
+  -u INTEGER              Upper tally cap.  [required]
+  --digits INTEGER RANGE  Significant figures.  [default: 6; 1<=x<=1000]
+  --format [csv|json]     [default: csv]
+  --help                  Show this message and exit.
+""",
+    "verify": """\
+Usage: bandorbump verify [OPTIONS]
+
+  Check the closed forms against independent recomputation.
+
+Options:
+  -m INTEGER                  Number of ranks.  [required]
+  -s INTEGER                  Cards per rank.  [required]
+  -l INTEGER                  Lower tally quota.  [required]
+  -u INTEGER                  Upper tally cap.  [required]
+  --mc-trials INTEGER RANGE   Monte Carlo deal count.  [x>=1]
+  --seed INTEGER              Simulation seed.  [default: 0]
+  --oracle-cap INTEGER RANGE  Largest deck the exhaustive check will accept; 0
+                              leaves Monte Carlo only.  [default: 16; x>=0]
+  --help                      Show this message and exit.
+""",
+    "scan": """\
+Usage: bandorbump scan [OPTIONS] {nonvacuity|bump-logconcavity}
+
+  Sweep a parameter grid for structural properties of the bump sum.
+
+  nonvacuity failures falsify a proved property and exit 1; bump-logconcavity
+  hits concern a conjecture only and still exit 0. An --out file that cannot
+  be opened or written exits 2.
+
+Options:
+  --m-max INTEGER  [default: 8]
+  --s-max INTEGER  [default: 8]
+  --out PATH       Write the JSON report here instead of stdout.
+  --help           Show this message and exit.
+""",
+    "payoff": """\
+Usage: bandorbump payoff [OPTIONS]
+
+  Expected payoff of one deal under per-outcome stakes.
+
+Options:
+  -m INTEGER              Number of ranks.  [required]
+  -s INTEGER              Cards per rank.  [required]
+  -l INTEGER              Lower tally quota.  [required]
+  -u INTEGER              Upper tally cap.  [required]
+  --band TEXT             Payout on a band (exact decimal).  [required]
+  --bump TEXT             Payout on a bump (exact decimal).  [required]
+  --digits INTEGER RANGE  Significant figures.  [default: 6; 1<=x<=1000]
+  --help                  Show this message and exit.
+""",
+}
+
+
+class TestHelpPages:
+    @pytest.mark.parametrize("command", list(HELP_PAGES), ids=lambda command: command or "main")
+    def test_page_is_pinned(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert cli.main([*command.split(), "--help"], prog_name="bandorbump", standalone_mode=False) == 0
+        assert capsys.readouterr().out == HELP_PAGES[command]
 
 
 class TestEntryPoints:
