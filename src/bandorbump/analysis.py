@@ -147,9 +147,12 @@ def bump_k_range(params: GameParams, n: int) -> tuple[int, int]:
     configuration exists at this n, it is not an error.
     """
     _require_general(params)
-    k_lo = max(1, n - (params.l + (params.m - 1) * (params.u - 1)))
-    k_hi = (n - 1) // params.u
-    return k_lo, k_hi
+    return _k_range(params, n)
+
+
+def _k_range(params: GameParams, n: int) -> tuple[int, int]:
+    """bump_k_range's range, unchecked: for a general cell."""
+    return max(1, n - (params.l + (params.m - 1) * (params.u - 1))), (n - 1) // params.u
 
 
 def bump_kpp_range(params: GameParams, n: int, k: int) -> tuple[int, int]:
@@ -211,7 +214,7 @@ def nonvacuity_scan(
         cells += 1
         m, s, l, u = p.m, p.s, p.l, p.u
         for n in range(u + 1, p.n_max + 1):
-            k_lo, k_hi = bump_k_range(p, n)
+            k_lo, k_hi = _k_range(p, n)  # p is general: bump_k_range's check holds
             if k_lo > k_hi:
                 findings.append(Finding(m, s, l, u, n, None, None, "empty capped-rank range"))
                 continue

@@ -7,7 +7,9 @@ error.  Every output, --help pages included, goes through `_write`, the one
 place a failed write becomes exit 2; any other OSError surfaces as itself.
 `dist` hands `_write` its table as it renders it, one row per chunk, and
 every streamed chunk passes the same guard.  Every option, --help included,
-is built once, at import, so a command run builds none.
+is built once, at import, so a command run builds none; a command lists its
+parameters without click's per-call duplicate-option scan, which the tests
+run once instead (tests/test_cli.py, TestParameterLists).
 """
 
 from __future__ import annotations
@@ -97,7 +99,10 @@ class _Command(click.Command):
     falls back to the short options. Registering `-m`, `-s`, `-l` and `-u`
     in the long table makes them match at once; it also reads `-m=13` as
     `-m 13`.  Its --help is `_help_option`, built at import, so its page is
-    written through `_write` too.
+    written through `_write` too.  Its parameter list is click's own, the
+    decorators' parameters and then --help, without the duplicate-option scan
+    click repeats on each of several calls per run (an import of warnings and
+    a Counter of every option string); the tests make that check once.
     """
 
     def make_parser(self, ctx: click.Context):
@@ -107,6 +112,9 @@ class _Command(click.Command):
 
     def get_help_option(self, ctx: click.Context) -> click.Option:
         return _help_option
+
+    def get_params(self, ctx: click.Context) -> list[click.Parameter]:
+        return [*self.params, _help_option]
 
 
 class _Group(_Command, click.Group):
@@ -198,7 +206,7 @@ def _cell(x: Fraction | tuple[int, int] | None, digits: int) -> str:
 def _rat(x: Fraction | tuple[int, int]) -> str:
     """x as the string "num/den" in lowest terms; a (numerator, denominator)
     pair is reduced here, with one gcd."""
-    num, den = (x.numerator, x.denominator) if isinstance(x, Fraction) else x
+    num, den = x if isinstance(x, tuple) else (x.numerator, x.denominator)
     g = math.gcd(num, den)
     num, den = num // g, den // g
     try:

@@ -18,7 +18,7 @@ from bandorbump.analysis import (
     nonvacuity_scan,
     payoff_ev,
 )
-from bandorbump.distribution import ConsistencyError, GameParams, joint_distribution
+from bandorbump.distribution import ConsistencyError, GameParams, JointDistribution, joint_distribution
 from bandorbump.exactnum import sqrt_decimal, to_decimal
 from bandorbump.hypergeom import truncated_product, window_poly
 from reference import band_logconcavity_violations
@@ -265,6 +265,10 @@ class TestScans:
         assert report.checks == 42728
         assert report.findings == ()
 
+    @pytest.mark.parametrize("scan", [nonvacuity_scan, bump_logconcavity_scan], ids=lambda scan: scan.__name__)
+    def test_default_grid_is_two_to_eight(self, scan):
+        assert scan() == scan((2, 8), (2, 8))
+
     def test_nonvacuity_grid_to_twelve(self):
         report = nonvacuity_scan((2, 12), (2, 12))
         assert report.cells == 2420
@@ -284,6 +288,26 @@ class TestScans:
     def test_bump_logconcavity_small_grid(self):
         report = bump_logconcavity_scan((2, 4), (2, 6))
         assert report.findings == ()
+
+    def test_bump_logconcavity_finding_names_its_draw(self, monkeypatch):
+        # (4, 4, 1, 2) has bump mass at draws 3 to 7; moving all but 1 of
+        # draw 5's onto its band leaves a law of the same total whose bump
+        # column fails log-concavity at draw 5 alone.
+        planted = GameParams(4, 4, 1, 2)
+
+        def planting(params):
+            dist = joint_distribution(params)
+            if params != planted:
+                return dist
+            band, bump = list(dist.band), list(dist.bump)
+            band[5] += bump[5] - 1
+            bump[5] = 1
+            return JointDistribution(params, band, bump)
+
+        monkeypatch.setattr(analysis, "joint_distribution", planting)
+        report = bump_logconcavity_scan((4, 4), (4, 4))
+        assert report.cells == 3
+        assert report.findings == (Finding(4, 4, 1, 2, 5, None, None, "bump log-concavity violated"),)
 
     def test_scan_keeps_no_law(self, monkeypatch):
         laws = []
@@ -415,7 +439,7 @@ class TestNonvacuityMutants:
             nonvacuity_scan((2, 4), (2, 6))
 
     def test_empty_k_range_is_a_finding(self, monkeypatch):
-        monkeypatch.setattr(analysis, "bump_k_range", lambda params, n: (1, 0))
+        monkeypatch.setattr(analysis, "_k_range", lambda params, n: (1, 0))
         report = nonvacuity_scan((2, 2), (3, 3))
         # the one cell (2, 3, 1, 2) has bump support n = 3 only
         assert report.findings == (Finding(2, 3, 1, 2, 3, None, None, "empty capped-rank range"),)

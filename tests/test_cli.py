@@ -6,11 +6,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner, Result
 
@@ -785,8 +787,10 @@ class TestBrokenPipe:
 
 
 # Well-formed commands in a fresh interpreter: after import, none imports
-# difflib, builds a click.Option (--help included) or looks up a translation.
+# difflib, builds a click.Option (--help included) or a Counter, looks up a
+# translation or lists its parameters through click's Command.get_params.
 _COLD_COMMANDS = """
+import collections
 import gettext
 import sys
 
@@ -796,6 +800,7 @@ from bandorbump import cli
 
 built = []
 option_init, dgettext = click.Option.__init__, gettext.dgettext
+get_params, counter_init = click.Command.get_params, collections.Counter.__init__
 
 
 def spied_option_init(self, *args, **kwargs):
@@ -808,7 +813,18 @@ def spied_dgettext(*args):
     return dgettext(*args)
 
 
+def spied_get_params(self, ctx):
+    built.append(("click.Command.get_params", self.name))
+    return get_params(self, ctx)
+
+
+def spied_counter_init(self, *args, **kwargs):
+    built.append(("collections.Counter", args))
+    counter_init(self, *args, **kwargs)
+
+
 click.Option.__init__, gettext.dgettext = spied_option_init, spied_dgettext
+click.Command.get_params, collections.Counter.__init__ = spied_get_params, spied_counter_init
 game = ["-m", "2", "-s", "3", "-l", "1", "-u", "2"]
 for args in (
     ["dist", *game],
@@ -960,6 +976,52 @@ class TestHelpPages:
         monkeypatch.setenv("COLUMNS", "80")
         assert cli.main([*command.split(), "--help"], prog_name="bandorbump", standalone_mode=False) == 0
         assert capsys.readouterr().out == HELP_PAGES[command]
+
+
+# The group and each of its commands, by the name a command line gives them.
+_COMMANDS = {"": cli.main, **cli.main.commands}
+
+
+class TestParameterLists:
+    """`_Command.get_params` skips click's per-call duplicate-option scan; the scan runs here."""
+
+    @pytest.mark.parametrize("name", list(_COMMANDS), ids=lambda name: name or "main")
+    def test_list_is_clicks_own(self, name):
+        command = _COMMANDS[name]
+        ctx = click.Context(command, info_name=name or "bandorbump")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # click warns of a duplicate option here
+            expected = click.Command.get_params(command, ctx)
+        assert command.get_params(ctx) == expected  # Parameter compares by identity
+
+    @pytest.mark.parametrize("name", list(_COMMANDS), ids=lambda name: name or "main")
+    def test_no_option_string_twice(self, name):
+        command = _COMMANDS[name]
+        params = command.get_params(click.Context(command, info_name=name or "bandorbump"))
+        opts = [opt for param in params for opt in (*param.opts, *param.secondary_opts)]
+        assert len(opts) == len(set(opts)), opts
+
+
+# Each command's well-formed run on a tiny deck, and a help page.
+_WARNING_FREE = [
+    ("dist", "-m", "2", "-s", "3", "-l", "1", "-u", "2"),
+    ("dist", "-m", "2", "-s", "3", "-l", "1", "-u", "2", "--format", "json"),
+    ("verify", "-m", "2", "-s", "3", "-l", "1", "-u", "2"),
+    ("payoff", "-m", "2", "-s", "3", "-l", "1", "-u", "2", "--band", "1", "--bump", "0"),
+    ("scan", "nonvacuity", "--m-max", "2", "--s-max", "3"),
+    ("dist", "--help"),
+]
+
+
+@pytest.mark.parametrize("args", _WARNING_FREE, ids=" ".join)
+def test_no_warning_in_a_fresh_interpreter(args):
+    # -W error turns any warning on the path, such as a click deprecation,
+    # into an error and a traceback on stderr.
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "bandorbump", *args], capture_output=True, text=True, timeout=TIMEOUT
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 class TestEntryPoints:
